@@ -3,8 +3,9 @@
 Wire formats:
 
 * Ballots, CSV (long format): header ``voter_id,candidate,grade``, one graded
-  candidate per row, UTF-8.  A voter's unmentioned candidates complete to the
-  worst grade, so approval-style ballots only list what the voter marked.
+  candidate per row, UTF-8 (input may start with a byte-order mark).  A
+  voter's unmentioned candidates complete to the worst grade, so
+  approval-style ballots only list what the voter marked.
 * Ballots, JSON: list of ``{"voter_id": ..., "grades": {candidate: grade}}``.
 * Bracket ballots, JSON: list of ``{"voter_id": ..., "accept": bool,
   "choices": ["upper"|"lower", ...]}`` with one choice per internal node of
@@ -19,7 +20,8 @@ Wire formats:
 
 Row-level problems (unknown grade, unknown candidate, duplicate marks) reject
 the row and are reported; they never silently drop a voter's other valid
-rows.  File-level problems (unreadable input, malformed header) raise.
+rows.  File-level problems (unreadable input, malformed header) raise
+:class:`ValidationError`.
 """
 
 import csv
@@ -126,11 +128,17 @@ def load_config(source: "str | Path | io.TextIOBase") -> ElectionConfig:
     options = document.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("'options' must be an object")
+    try:
+        limit = int(options.get("limit", 8))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"'options.limit' must be an integer, got {options['limit']!r}"
+        ) from None
     return ElectionConfig(
         method=method,
         scale=scale,
         candidates=tuple(candidates),
-        limit=int(options.get("limit", 8)),
+        limit=limit,
         seed=options.get("seed"),
     )
 
@@ -182,9 +190,18 @@ class ParseReport:
 
 
 def _read_text(source: "str | Path | io.TextIOBase") -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text(encoding="utf-8")
+    """The whole text of a path or open stream, a leading UTF-8 BOM dropped."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+        return text.removeprefix("\ufeff")
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason})"
+    raise ValidationError(f"cannot read {source}: {reason}")
 
 
 def _looks_like_json(text: str) -> bool:

@@ -40,6 +40,7 @@ from .mj import mj_rank
 from .mj3 import mj3_rank
 from .properties import (
     NoShowCounterexample,
+    NoUniqueWinnerError,
     check_consistency,
     manipulation_probe,
     polarization_sweep,
@@ -173,8 +174,10 @@ def _print_report(report: ParseReport) -> None:
 def cmd_tally(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if config.method == "bracket":
-        if not config.candidates:
-            raise ConfigError("bracket elections need candidates in the config")
+        if len(config.candidates) < 2:
+            raise ConfigError(
+                "bracket elections need at least two candidates in the config"
+            )
         ballots, report = parse_bracket_ballots(
             _ballot_source(args), config.candidates
         )
@@ -245,33 +248,38 @@ def cmd_check(args: argparse.Namespace) -> int:
     lines.append(f"no-show search: {len(counterexamples)} counterexample(s)")
     lines.extend(f"  {_describe_counterexample(ce)}" for ce in counterexamples)
 
-    if election.scale.size == 3 and election.n_voters >= 2:
-        if election.n_voters <= limit or args.samples:
+    consistency = None
+    if election.scale.size != 3 or election.n_voters < 2:
+        skipped = "needs a 3-grade scale and 2+ ballots"
+    elif election.n_voters > limit and not args.samples:
+        skipped = (
+            f"{election.n_voters} ballots exceed the limit of {limit}; "
+            f"raise --limit or pass --samples"
+        )
+    else:
+        try:
             consistency = check_consistency(
                 election, ballots, limit=limit, samples=args.samples, seed=seed
             )
-            findings += len(consistency.violations)
-            report["consistency"] = {
-                "n_partitions_checked": consistency.n_partitions_checked,
-                "n_premise_satisfied": consistency.n_premise_satisfied,
-                "n_violations": len(consistency.violations),
-                "sampled": consistency.sampled,
-            }
-            lines.append(
-                f"consistency: {consistency.n_partitions_checked} partitions, "
-                f"{consistency.n_premise_satisfied} matched the premise, "
-                f"{len(consistency.violations)} violation(s)"
-                + (" [sampled]" if consistency.sampled else "")
-            )
-        else:
-            report["consistency"] = None
-            lines.append(
-                f"consistency: skipped ({election.n_voters} ballots exceed the "
-                f"limit of {limit}; raise --limit or pass --samples)"
-            )
-    else:
+        except NoUniqueWinnerError as exc:
+            skipped = str(exc)
+    if consistency is None:
         report["consistency"] = None
-        lines.append("consistency: skipped (needs a 3-grade scale and 2+ ballots)")
+        lines.append(f"consistency: skipped ({skipped})")
+    else:
+        findings += len(consistency.violations)
+        report["consistency"] = {
+            "n_partitions_checked": consistency.n_partitions_checked,
+            "n_premise_satisfied": consistency.n_premise_satisfied,
+            "n_violations": len(consistency.violations),
+            "sampled": consistency.sampled,
+        }
+        lines.append(
+            f"consistency: {consistency.n_partitions_checked} partitions, "
+            f"{consistency.n_premise_satisfied} matched the premise, "
+            f"{len(consistency.violations)} violation(s)"
+            + (" [sampled]" if consistency.sampled else "")
+        )
 
     if config.method == "approval3":
         result = approval_rank(election)

@@ -89,6 +89,11 @@ def outcome_of(result: RankedResult) -> Outcome:
 # weak consistency under 2-partitions of the electorate
 # --------------------------------------------------------------------------
 
+class NoUniqueWinnerError(VoteError):
+    """The combined election's ``(S, T)`` top is tied, so the consistency
+    premise has no winner to hold the parts to."""
+
+
 @dataclass(frozen=True)
 class PartitionPremise:
     """A partition where both parts elect the same candidate, that winner's
@@ -170,7 +175,7 @@ def _check_partitions(
     overall_pairs = _score_pairs(full)
     overall = _unique_top(overall_pairs)
     if overall is None:
-        raise VoteError("combined election has no unique winner")
+        raise NoUniqueWinnerError("combined election has no unique winner")
     report = PartitionCheckReport(
         n_ballots=election.n_voters,
         n_partitions_checked=0,
@@ -239,7 +244,9 @@ def check_consistency(
     All unordered partitions into two non-empty parts are enumerated
     (``2^(n-1) - 1`` of them).  Above ``limit`` ballots that blows up, so an
     instance with more ballots raises unless ``samples`` asks for that many
-    randomly drawn partitions instead (seeded by ``seed``).
+    distinct randomly drawn partitions instead (seeded by ``seed``).  When
+    ``samples`` reaches the number of partitions, all of them are checked and
+    the report is not marked sampled.
     """
     _require_3grade(election)
     vectors = _ballot_vectors(election, ballots)
@@ -265,12 +272,17 @@ def check_consistency(
                     counts[ci][gi] += 1
         return [tuple(c) for c in counts], members
 
-    if n <= limit:
-        masks: Iterable[int] = range(1, 1 << (n - 1))
+    space = (1 << (n - 1)) - 1
+    if n <= limit or samples >= space:
+        masks: Iterable[int] = range(1, space + 1)
         sampled = False
     else:
+        # distinct masks, so the partitions counted are partitions covered
         rng = random.Random(seed)
-        masks = (rng.randint(1, (1 << (n - 1)) - 1) for _ in range(samples or 0))
+        drawn: dict[int, None] = {}
+        while len(drawn) < samples:
+            drawn.setdefault(rng.randint(1, space))
+        masks = drawn
         sampled = True
     return _check_partitions(
         election, (part_counts(m) for m in masks), sampled=sampled
@@ -341,7 +353,7 @@ def random_consistency_sweep(
         election = build_profiles(MJ3_SCALE, candidates, ballots)
         try:
             report = check_consistency(election, ballots, limit=max_voters)
-        except VoteError:  # no unique combined winner: redraw
+        except NoUniqueWinnerError:  # no unique combined winner: redraw
             continue
         done += 1
         total.n_ballots += report.n_ballots

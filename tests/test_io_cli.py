@@ -552,3 +552,83 @@ def test_cli_check_random_sweeps_and_probe(tmp_path, capsys):
     assert "random sweeps: 5 instances" in out
     assert "probe e01: 0 improving deviation(s) out of 8 (informational)" in out
     assert "result: ok" in out
+
+
+def _nine_ballot_mj3(tmp_path):
+    """A 9-ballot, 3-candidate mj3 election with a unique (S, T) top."""
+    grades = ("positive", "neutral", "negative")
+    rows = ["voter_id,candidate,grade"]
+    for v in range(9):
+        for c, cid in enumerate("abc"):
+            rows.append(f"v{v + 1},{cid},{grades[(v + c * (v % 2 + 1)) % 3]}")
+    path = tmp_path / "nine.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_cli_unreadable_inputs_end_in_an_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["tally", "--method", "mj3", "--ballots", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "missing.csv" in err
+    _, ballots = _write_fixture(tmp_path, "school3")
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.json")
+    assert main(["tally", "--config", missing, "--ballots", ballots]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_cli_config_value_errors_exit_2(tmp_path, capsys):
+    config = tmp_path / "limit.json"
+    config.write_text('{"method": "mj3", "options": {"limit": "many"}}')
+    _, ballots = _write_fixture(tmp_path, "school3")
+    capsys.readouterr()
+    assert main(["check", "--config", str(config), "--ballots", ballots]) == 2
+    assert "error: 'options.limit' must be an integer" in capsys.readouterr().err
+    config = tmp_path / "bracket.json"
+    config.write_text('{"method": "bracket", "candidates": [{"id": "solo"}]}')
+    ballots = tmp_path / "bracket.ballots.json"
+    ballots.write_text('[{"voter_id": "v1", "accept": true, "choices": []}]')
+    assert main(["tally", "--config", str(config), "--ballots", str(ballots)]) == 2
+    assert "error: bracket elections need at least two" in capsys.readouterr().err
+
+
+def test_cli_tally_accepts_a_utf8_bom(tmp_path, monkeypatch, capsys):
+    data = b"\xef\xbb\xbfvoter_id,candidate,grade\nv1,a,positive\nv2,b,negative\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+    for source in (str(path), "-"):
+        rc = main(["tally", "--method", "mj3", "--ballots", source, "--format", "json"])
+        assert rc == 0
+        document = json.loads(capsys.readouterr().out)
+        assert [e["candidate"] for e in document["entries"]] == ["a", "b"]
+
+
+def test_cli_check_reports_distinct_sampled_coverage(tmp_path, capsys):
+    ballots = _nine_ballot_mj3(tmp_path)
+    base = ["check", "--method", "mj3", "--ballots", ballots, "--seed", "1"]
+    assert main(base + ["--samples", "1000", "--format", "json"]) == 0
+    consistency = json.loads(capsys.readouterr().out)["consistency"]
+    assert consistency["n_partitions_checked"] == 2 ** 8 - 1
+    assert consistency["sampled"] is False
+    assert main(base + ["--samples", "200"]) == 0
+    assert "consistency: 200 partitions" in capsys.readouterr().out
+
+
+def test_cli_check_skips_consistency_on_a_tied_top(tmp_path, capsys):
+    path = tmp_path / "tied.csv"
+    path.write_text(
+        "voter_id,candidate,grade\n"
+        "v1,a,positive\nv1,b,positive\nv2,a,negative\nv2,b,negative\n",
+        encoding="utf-8",
+    )
+    rc = main(["check", "--method", "mj3", "--ballots", str(path), "--format", "json"])
+    assert rc == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["consistency"] is None
+    assert document["no_show"]["n_counterexamples"] == 0
+    assert main(["check", "--method", "mj3", "--ballots", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "consistency: skipped (combined election has no unique winner)" in out
+    assert "no-show search: 0 counterexample(s)" in out

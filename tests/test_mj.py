@@ -1,5 +1,8 @@
 """Median-grade ranking for scales of any size."""
 
+from functools import cmp_to_key
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from gradevote import (
 )
 from gradevote.core import GradeProfile
 from gradevote.fixtures import SCHOOL_SCALE, school_outing
+from gradevote.mj import _removal_key
 
 THREE = GradeScale(("good", "ok", "bad"))
 
@@ -213,6 +217,98 @@ def test_dropping_a_candidate_keeps_relative_order(count_rows):
         sub_order = mj_rank(sub).order
         expected = tuple(cid for cid in full if cid != removed.id)
         assert sub_order == expected
+
+
+# ---------------------------------------------------------------------------
+# the counts-only sort key against the removal-sequence reference
+# ---------------------------------------------------------------------------
+
+def all_tallies(n, grades):
+    """Every per-grade count tuple of ``n`` ballots, in lexicographic order."""
+    for cuts in combinations_with_replacement(range(n + 1), grades - 1):
+        bounds = (0, *cuts, n)
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(grades))
+
+
+@pytest.mark.parametrize(
+    "grades, max_n", [(2, 14), (3, 12), (4, 9), (5, 7), (7, 5)]
+)
+def test_removal_key_orders_like_majority_value(grades, max_n):
+    # two total orders that sort the same list alike agree on every pair
+    for n in range(1, max_n + 1):
+        tallies = list(all_tallies(n, grades))
+        by_value = sorted(tallies, key=lambda t: majority_value(GradeProfile("x", t)))
+        by_key = sorted(tallies, key=lambda t: _removal_key(t, n))
+        assert by_key == by_value
+        assert len({_removal_key(t, n) for t in tallies}) == len(tallies)
+
+
+@pytest.mark.parametrize("grades", [4, 5])
+def test_mj_rank_orders_every_tally_pair_like_the_reference(grades):
+    """One election per electorate size holding every tally, a few twice."""
+    scale = GradeScale(tuple(f"g{i}" for i in range(grades)))
+    for n in range(1, 8):
+        tallies = list(all_tallies(n, grades))
+        tallies += tallies[::7]
+        candidates = [Candidate(f"c{i}") for i in range(len(tallies))]
+        election = election_from_counts(
+            scale, candidates, {c.id: t for c, t in zip(candidates, tallies)}
+        )
+        result = mj_rank(election)
+        order, groups = naive_order(election)
+        assert result.order == order
+        assert result.tie_groups == groups
+
+
+def _median(counts, total):
+    seen = 0
+    for position, count in enumerate(counts):
+        seen += count
+        if seen > total // 2:
+            return position
+
+
+def lazy_compare(a, b):
+    """Walk both removal sequences in step until they differ (-1: a ranks first)."""
+    a, b, total = list(a), list(b), sum(a)
+    while total:
+        ga, gb = _median(a, total), _median(b, total)
+        if ga != gb:
+            return -1 if ga < gb else 1
+        a[ga] -= 1
+        b[gb] -= 1
+        total -= 1
+    return 0
+
+
+def _test_gauge(counts):
+    total = sum(counts)
+    alpha = _median(counts, total)
+    p, q = sum(counts[:alpha]), sum(counts[alpha + 1:])
+    return alpha, (-p if p > q else q)
+
+
+@pytest.mark.parametrize("n", [100_000, 100_001])
+def test_large_electorate_twins_and_polarization(n):
+    scale = GradeScale(("g0", "g1", "g2", "g3", "g4"))
+    base = (n // 10, 2 * n // 10, 4 * n // 10, 2 * n // 10)
+    base = (*base, n - sum(base))
+    tallies = {
+        "base": base,
+        "better-twin": (base[0] - 1, base[1] + 1, *base[2:]),
+        "worse-twin": (*base[:3], base[3] - 1, base[4] + 1),
+        "polarized": (n - n // 2, 0, 0, 0, n // 2),
+        "copy": base,
+    }
+    assert _test_gauge(tallies["better-twin"]) == _test_gauge(base)
+    assert _test_gauge(tallies["worse-twin"]) == _test_gauge(base)
+    candidates = [Candidate(cid) for cid in tallies]
+    result = mj_rank(election_from_counts(scale, candidates, tallies))
+    by_walk = cmp_to_key(lambda x, y: lazy_compare(tallies[x], tallies[y]))
+    assert result.order == tuple(sorted(tallies, key=by_walk))
+    assert result.tie_groups == (("base", "copy"),)
+    polarized = dict(zip(result.order, result.entries))["polarized"]
+    assert polarized.majority_grade == ("g4" if n % 2 == 0 else "g0")
 
 
 # ---------------------------------------------------------------------------

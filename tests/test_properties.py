@@ -153,6 +153,31 @@ def test_sampled_check_runs_large_electorates():
     assert report.ok
 
 
+def test_sampled_partitions_are_distinct():
+    # 9 ballots have 2^8 - 1 = 255 partitions: 254 distinct draws miss one
+    grades = MJ3_SCALE_LABELS
+    election, ballots = _election(
+        [
+            {cid: grades[(v + c * (v % 2 + 1)) % 3] for c, cid in enumerate("abc")}
+            for v in range(9)
+        ],
+        candidates=[Candidate(cid) for cid in "abc"],
+    )
+    exhaustive = check_consistency(election, ballots, limit=9)
+    assert exhaustive.n_partitions_checked == 255
+    every_premise = sorted(repr(p) for p in exhaustive.premises)
+    for seed in range(3):
+        report = check_consistency(election, ballots, samples=254, seed=seed)
+        assert report.sampled and report.n_partitions_checked == 254
+        premises = sorted(repr(p) for p in report.premises)
+        assert len(premises) >= len(every_premise) - 1
+        for premise in set(premises):
+            assert premises.count(premise) <= every_premise.count(premise)
+    report = check_consistency(election, ballots, samples=255, seed=0)
+    assert not report.sampled
+    assert sorted(repr(p) for p in report.premises) == every_premise
+
+
 def test_check_requires_unique_combined_winner():
     election, ballots = _election(
         [{"a": "positive", "b": "neutral"}, {"a": "neutral", "b": "positive"}]
