@@ -25,6 +25,7 @@ The final order puts the whole STRONG_MAJORITY block first, sorted by
 results.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import ConfigError, ElectionProfile, GradeProfile, GradeScale, VoteError
@@ -70,6 +71,19 @@ def classify_block(tally: ApprovalTally) -> Block:
     return Block.UNELECTABLE
 
 
+def _block_key(counts: Sequence[int]) -> tuple[int, int, int]:
+    """Ascending sort key of one ``(strong, weak, none)`` tally.
+
+    The STRONG_MAJORITY block comes first, by ``a_strong`` then ``a_any``;
+    everyone else follows by ``a_any`` then ``a_strong``.  Two keys are equal
+    exactly when the tallies are (within one electorate).
+    """
+    strong, weak, none = counts
+    if strong > none:
+        return (0, -strong, -strong - weak)
+    return (1, -strong - weak, -strong)
+
+
 def approval_rank(election: ElectionProfile) -> RankedResult:
     """Rank an approval election; never elects anyone when rejected.
 
@@ -84,14 +98,8 @@ def approval_rank(election: ElectionProfile) -> RankedResult:
         raise VoteError("cannot rank an election without ballots")
     tallies = [ApprovalTally.from_profile(p) for p in election.profiles]
     blocks = [classify_block(t) for t in tallies]
-
-    def sort_key(i: int) -> tuple[int, int, int]:
-        tally = tallies[i]
-        if blocks[i] is Block.STRONG_MAJORITY:
-            return (0, -tally.a_strong, -tally.a_any)
-        return (1, -tally.a_any, -tally.a_strong)
-
-    order = sorted(range(len(election.candidates)), key=sort_key)
+    keys = [_block_key(p.counts) for p in election.profiles]
+    order = sorted(range(len(election.candidates)), key=keys.__getitem__)
     ranks, groups = competition_ranks(
         [(tallies[i].a_strong, tallies[i].a_weak) for i in order]
     )

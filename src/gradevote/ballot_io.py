@@ -113,10 +113,16 @@ def load_config(source: "str | Path | io.TextIOBase") -> ElectionConfig:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ConfigError("'scale' must be a list of grade labels")
         scale = GradeScale(tuple(labels))
+    rows = document.get("candidates", [])
+    if not isinstance(rows, list):
+        raise ConfigError("'candidates' must be a list of objects")
     candidates = []
-    for i, row in enumerate(document.get("candidates", [])):
+    for i, row in enumerate(rows):
         if not isinstance(row, dict) or not isinstance(row.get("id"), str):
             raise ConfigError(f"candidate #{i + 1} needs a string 'id'")
+        for key in ("name", "party", "profession"):
+            if not isinstance(row.get(key, ""), (str, type(None))):
+                raise ConfigError(f"candidate #{i + 1} '{key}' must be a string")
         candidates.append(
             Candidate(
                 id=row["id"],
@@ -128,18 +134,18 @@ def load_config(source: "str | Path | io.TextIOBase") -> ElectionConfig:
     options = document.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("'options' must be an object")
-    try:
-        limit = int(options.get("limit", 8))
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"'options.limit' must be an integer, got {options['limit']!r}"
-        ) from None
+    # JSON true and false load as bool, an int subclass: refuse them too
+    limit, seed = options.get("limit", 8), options.get("seed")
+    if not isinstance(limit, int) or isinstance(limit, bool):
+        raise ConfigError(f"'options.limit' must be an integer, got {limit!r}")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ConfigError(f"'options.seed' must be an integer or null, got {seed!r}")
     return ElectionConfig(
         method=method,
         scale=scale,
         candidates=tuple(candidates),
         limit=limit,
-        seed=options.get("seed"),
+        seed=seed,
     )
 
 

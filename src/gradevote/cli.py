@@ -171,6 +171,17 @@ def _print_report(report: ParseReport) -> None:
         print(f"note: {note}", file=sys.stderr)
 
 
+def _emit(text: str) -> None:
+    """Write a rendered document to standard output in pieces of 8 KiB.
+
+    One large write to a full pipe can come out silently truncated when a
+    signal handler interrupts it (seen with CPython 3.11 under an interval
+    timer); writes that fit the stream's buffer do not.
+    """
+    for start in range(0, len(text), 8192):
+        sys.stdout.write(text[start:start + 8192])
+
+
 def cmd_tally(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if config.method == "bracket":
@@ -183,11 +194,11 @@ def cmd_tally(args: argparse.Namespace) -> int:
         )
         _print_report(report)
         result = bracket_elect(config.candidates, ballots)
-        print(render_bracket(result, args.format), end="")
+        _emit(render_bracket(result, args.format))
         return 0 if report.ok else 1
     loaded = _load_grade_election(args, config)
     result = RANKERS[config.method](loaded.election)
-    print(render_result(result, args.format), end="")
+    _emit(render_result(result, args.format))
     return 0 if loaded.report.ok else 1
 
 
@@ -329,10 +340,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     lines.append(
         "result: PROPERTY VIOLATIONS FOUND" if violations_found else "result: ok"
     )
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print("\n".join(lines))
+    _emit((json.dumps(report, indent=2) if args.format == "json" else "\n".join(lines)) + "\n")
     if not loaded.report.ok:
         return 1
     return 3 if violations_found else 0
@@ -355,7 +363,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     else:
         election = build_profiles(fixture.scale, fixture.candidates, fixture.ballots)
         rendered = render_result(RANKERS[fixture.method](election), args.format)
-    print(rendered, end="")
+    _emit(rendered)
 
     if args.outdir:
         outdir = Path(args.outdir)

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from .approval import APPROVAL_SCALE
 from .bracket import BracketBallot, sincere_ballot
 from .core import Ballot, Candidate, GradeScale
-from .mj3 import MJ3_SCALE_LABELS
+from .mj3 import MJ3_SCALE
 
 SCHOOL_SCALE = GradeScale(("Cool!", "Nice", "Ok", "Help, no!"))
-MJ3_SCALE = GradeScale(MJ3_SCALE_LABELS)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ with ``None`` marking an undefined value (zero denominator).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ConfigError, ElectionProfile, GradeProfile, VoteError
+from .core import ConfigError, ElectionProfile, GradeProfile, GradeScale, VoteError
 from .results import RankedEntry, RankedResult, competition_ranks
 
 
@@ -68,6 +68,7 @@ class AltScores:
 
 
 MJ3_SCALE_LABELS = ("positive", "neutral", "negative")
+MJ3_SCALE = GradeScale(MJ3_SCALE_LABELS)
 
 
 def score3(tally: Tally3) -> ScorePair:

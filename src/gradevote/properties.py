@@ -22,7 +22,10 @@ exhaustive enumeration instead of trusting proofs:
 The exhaustive generators (:func:`search_no_show_exhaustive`,
 :func:`search_cross_method_disagreements`, :func:`random_consistency_sweep`,
 :func:`polarization_sweep`) drive whole instance families and are what the
-``check`` command and the test suite run.
+``check`` command and the test suite run.  Every search that needs only a
+decision takes it from :func:`outcome_from_counts`, on raw count tuples;
+:func:`search_cross_method_disagreements` alone runs the full rankers, as it
+compares whole orders.
 """
 
 import random
@@ -30,8 +33,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
+from operator import sub
 
-from .approval import APPROVAL_SCALE, ApprovalTally, approval_rank, classify_block
+from .approval import APPROVAL_SCALE, ApprovalTally, _block_key, classify_block
 from .core import (
     Ballot,
     Candidate,
@@ -43,11 +47,12 @@ from .core import (
     build_profiles,
     election_from_counts,
 )
-from .mj import mj_rank
-from .mj3 import MJ3_SCALE_LABELS, ScorePair, Tally3, mj3_rank, score3
+from .mj import _rank_keys, mj_rank
+from .mj3 import MJ3_SCALE, mj3_rank
 from .results import Block, RankedResult
 
-MJ3_SCALE = GradeScale(MJ3_SCALE_LABELS)
+#: Per-candidate counts, best grade first, in registration order.
+Tallies = Sequence[Sequence[int]]
 
 
 # --------------------------------------------------------------------------
@@ -63,15 +68,18 @@ class Outcome:
     tied: tuple[str, ...] = ()
 
 
-def _ranker(method: str, scale: GradeScale):
+def _method(method: str, scale: GradeScale) -> str:
+    """Resolve ``auto`` and refuse a scale the method's ranker would refuse."""
     if method == "auto":
         method = "mj3" if scale.size == 3 and scale != APPROVAL_SCALE else (
             "approval3" if scale == APPROVAL_SCALE else "mj"
         )
-    rankers = {"mj": mj_rank, "mj3": mj3_rank, "approval3": approval_rank}
-    if method not in rankers:
+    if method not in ("mj", "mj3", "approval3"):
         raise ConfigError(f"unknown ranking method {method!r}")
-    return method, rankers[method]
+    if (method == "mj3" and scale.size != 3
+            or method == "approval3" and scale != APPROVAL_SCALE):
+        raise ConfigError(f"method {method} cannot rank the scale {scale.labels!r}")
+    return method
 
 
 def outcome_of(result: RankedResult) -> Outcome:
@@ -83,6 +91,48 @@ def outcome_of(result: RankedResult) -> Outcome:
         if top in group:
             return Outcome("tie", tied=group)
     return Outcome("winner", winner=top)
+
+
+def outcome_from_counts(
+    method: str, ids: Sequence[str], tallies: Tallies, n_voters: int
+) -> Outcome:
+    """The decision of ``method`` (``mj3``, ``mj`` or ``approval3``) on raw counts.
+
+    Equal to ``outcome_of(ranker(election_from_counts(...)))`` without the
+    profile or the ranking: each key below sorts as the ranker sorts and is
+    equal exactly for the candidates it ties, and ``tied`` lists the
+    candidates of the top key in registration order.  ``tallies`` must each
+    sum to ``n_voters`` > 0; that is not checked here.
+    """
+    if method == "mj3":
+        # the (s, t) pair, negated: s, t = p, -q if p > q else -q, p
+        keys = [(-p, q) if p > q else (q, -p) for p, _, q in tallies]
+    elif method == "mj":
+        keys = _rank_keys(tallies, n_voters)
+    elif not any(2 * (strong + weak) > n_voters for strong, weak, _ in tallies):
+        return Outcome("rejected")
+    else:
+        keys = [_block_key(counts) for counts in tallies]
+    top = min(keys)
+    if keys.count(top) == 1:
+        return Outcome("winner", winner=ids[keys.index(top)])
+    return Outcome("tie", tied=tuple(c for c, key in zip(ids, keys) if key == top))
+
+
+def _bump(counts: tuple[int, ...], grade: int, step: int) -> tuple[int, ...]:
+    """``counts`` with ``step`` (1 or -1) ballots more at position ``grade``."""
+    return counts[:grade] + (counts[grade] + step,) + counts[grade + 1:]
+
+
+def _with_each_ballot(
+    method: str, ids: Sequence[str], base: Tallies, n_voters: int, n_grades: int
+) -> Iterator[tuple[tuple[int, ...], Outcome]]:
+    """Every grade vector one more ballot could carry, in ``product`` order,
+    with the outcome once that ballot joins ``base``."""
+    bumped = [[_bump(c, g, 1) for g in range(n_grades)] for c in base]
+    for vector in product(range(n_grades), repeat=len(ids)):
+        tallies = [row[g] for row, g in zip(bumped, vector)]
+        yield vector, outcome_from_counts(method, ids, tallies, n_voters + 1)
 
 
 # --------------------------------------------------------------------------
@@ -133,17 +183,9 @@ class PartitionCheckReport:
         return not self.violations
 
 
-def _score_pairs(counts: Sequence[Sequence[int]]) -> list[ScorePair]:
-    return [score3(Tally3(c[0], c[1], c[2])) for c in counts]
-
-
-def _unique_top(pairs: Sequence[ScorePair]) -> int | None:
-    """Index of the unique (s, t)-maximal candidate, or None on a tie."""
-    best = max(range(len(pairs)), key=lambda i: (pairs[i].s, pairs[i].t))
-    key = (pairs[best].s, pairs[best].t)
-    if sum(1 for p in pairs if (p.s, p.t) == key) > 1:
-        return None
-    return best
+def _scores(tallies: Tallies) -> list[int]:
+    """The ``mj3`` score ``s`` of each three-grade tally."""
+    return [p if p > q else -q for p, _, q in tallies]
 
 
 def _ballot_vectors(
@@ -165,63 +207,81 @@ def _ballot_vectors(
 
 def _check_partitions(
     election: ElectionProfile,
-    partitions: Iterable[tuple[Sequence[Sequence[int]], int]],
+    partitions: Iterable[tuple[Tallies, int]],
     *,
     sampled: bool,
 ) -> PartitionCheckReport:
     """Evaluate the consistency premise over (part1 counts, part1 size) pairs."""
     ids = [c.id for c in election.candidates]
+    n = election.n_voters
     full = [p.counts for p in election.profiles]
-    overall_pairs = _score_pairs(full)
-    overall = _unique_top(overall_pairs)
-    if overall is None:
+    overall = outcome_from_counts("mj3", ids, full, n)
+    if overall.kind != "winner":
         raise NoUniqueWinnerError("combined election has no unique winner")
     report = PartitionCheckReport(
-        n_ballots=election.n_voters,
+        n_ballots=n,
         n_partitions_checked=0,
         n_premise_satisfied=0,
         sampled=sampled,
     )
     for part1, size1 in partitions:
         report.n_partitions_checked += 1
-        part2 = [
-            tuple(f - a for f, a in zip(full_c, part1_c))
-            for full_c, part1_c in zip(full, part1)
-        ]
-        pairs1 = _score_pairs(part1)
-        pairs2 = _score_pairs(part2)
-        w1 = _unique_top(pairs1)
-        w2 = _unique_top(pairs2)
-        if w1 is None or w1 != w2:
+        first = outcome_from_counts("mj3", ids, part1, size1)
+        if first.kind != "winner":
             continue
-        s1, s2 = pairs1[w1].s, pairs2[w1].s
+        part2 = [tuple(map(sub, f, a)) for f, a in zip(full, part1)]
+        if outcome_from_counts("mj3", ids, part2, n - size1) != first:
+            continue
+        scores1, scores2 = _scores(part1), _scores(part2)
+        w = ids.index(first.winner)
+        s1, s2 = scores1[w], scores2[w]
         if not (s1 * s2 > 0 or (s1 == 0 and s2 == 0)):
             continue
         # A strict sign switch for *any* candidate breaks score additivity
         # across the parts (positives cancelled inside one part reappear in
         # the union), and with it the consistency guarantee.
-        if any(p1.s * p2.s < 0 for p1, p2 in zip(pairs1, pairs2)):
+        if any(a * b < 0 for a, b in zip(scores1, scores2)):
             continue
         report.n_premise_satisfied += 1
         report.premises.append(
             PartitionPremise(
-                part_sizes=(size1, election.n_voters - size1),
-                winner=ids[w1],
-                scores_part1={cid: p.s for cid, p in zip(ids, pairs1)},
-                scores_part2={cid: p.s for cid, p in zip(ids, pairs2)},
+                part_sizes=(size1, n - size1),
+                winner=first.winner,
+                scores_part1=dict(zip(ids, scores1)),
+                scores_part2=dict(zip(ids, scores2)),
             )
         )
-        if w1 != overall:
+        if first != overall:
             report.violations.append(
                 ConsistencyViolation(
-                    part_sizes=(size1, election.n_voters - size1),
-                    winner_parts=ids[w1],
-                    winner_overall=ids[overall],
+                    part_sizes=(size1, n - size1),
+                    winner_parts=first.winner,
+                    winner_overall=overall.winner,
                     s_part1=s1,
                     s_part2=s2,
                 )
             )
     return report
+
+
+def _walk(
+    vectors: Sequence[tuple[int, ...]], masks: Iterable[int], n_grades: int
+) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+    """Part-1 counts and size of each mask in turn (bit ``i`` set: ballot ``i``
+    is in part 1).  Each step moves only the ballots whose bits differ from
+    the previous mask: about two per step when the masks increase by one."""
+    counts = [[0] * n_grades for _ in vectors[0]]
+    prev = members = 0
+    for mask in masks:
+        flips, prev = mask ^ prev, mask
+        while flips:
+            low = flips & -flips
+            flips ^= low
+            step = 1 if mask & low else -1
+            members += step
+            for row, g in zip(counts, vectors[low.bit_length() - 1]):
+                row[g] += step
+        yield [tuple(row) for row in counts], members
 
 
 def _require_3grade(election: ElectionProfile) -> None:
@@ -259,19 +319,6 @@ def check_consistency(
             f"pass samples= to check randomly sampled partitions instead"
         )
 
-    n_cands = len(election.candidates)
-    size = election.scale.size
-
-    def part_counts(mask: int) -> tuple[list[tuple[int, ...]], int]:
-        counts = [[0] * size for _ in range(n_cands)]
-        members = 0
-        for i in range(n):
-            if mask >> i & 1:
-                members += 1
-                for ci, gi in enumerate(vectors[i]):
-                    counts[ci][gi] += 1
-        return [tuple(c) for c in counts], members
-
     space = (1 << (n - 1)) - 1
     if n <= limit or samples >= space:
         masks: Iterable[int] = range(1, space + 1)
@@ -285,7 +332,7 @@ def check_consistency(
         masks = drawn
         sampled = True
     return _check_partitions(
-        election, (part_counts(m) for m in masks), sampled=sampled
+        election, _walk(vectors, masks, election.scale.size), sampled=sampled
     )
 
 
@@ -384,9 +431,9 @@ class NoShowCounterexample:
     after: Outcome
 
 
-def _addition_flips(
-    before: Outcome, after: Outcome, grade_of: Mapping[str, int]
-) -> bool:
+def _flips_against(before: Outcome, after: Outcome, grade_of: Mapping[str, int]) -> bool:
+    """Whether ``after`` elects a unique winner graded worse (a larger
+    position) than ``before``'s winner or than a candidate ``before`` ties."""
     if after.kind != "winner":
         return False
     if before.kind == "winner" and before.winner != after.winner:
@@ -396,28 +443,23 @@ def _addition_flips(
     return False
 
 
-def _removal_helps(
-    with_outcome: Outcome, without_outcome: Outcome, grade_of: Mapping[str, int]
-) -> bool:
-    if without_outcome.kind != "winner":
-        return False
-    if with_outcome.kind == "winner" and with_outcome.winner != without_outcome.winner:
-        return grade_of[without_outcome.winner] < grade_of[with_outcome.winner]
-    if with_outcome.kind == "tie":
-        return any(
-            grade_of[without_outcome.winner] < grade_of[x] for x in with_outcome.tied
-        )
-    return False
-
-
-def _counts_outcome(
-    scale: GradeScale,
-    candidates: Sequence[Candidate],
-    counts_by_id: Mapping[str, Sequence[int]],
-    ranker,
-) -> Outcome:
-    election = election_from_counts(scale, candidates, counts_by_id)
-    return outcome_of(ranker(election))
+def _additions(
+    method: str, ids, labels, base: Tallies, n_voters: int, before: Outcome
+) -> list[NoShowCounterexample]:
+    """Every extra ballot whose casting flips ``before`` against its own grades."""
+    found = []
+    for vector, after in _with_each_ballot(method, ids, base, n_voters, len(labels)):
+        if _flips_against(before, after, dict(zip(ids, vector))):
+            found.append(
+                NoShowCounterexample(
+                    kind="addition",
+                    grades={cid: labels[g] for cid, g in zip(ids, vector)},
+                    voter_id=None,
+                    before=before,
+                    after=after,
+                )
+            )
+    return found
 
 
 def search_no_show(
@@ -434,62 +476,39 @@ def search_no_show(
     re-tallies the election without each distinct existing ballot and runs
     only when ``ballots`` are supplied, since per-candidate tallies do not
     determine them.  Returns all counterexamples found, additions first.
+    Every outcome is decided from counts (:func:`outcome_from_counts`).
     """
-    method, ranker = _ranker(method, election.scale)
-    ids = [c.id for c in election.candidates]
     scale = election.scale
+    method = _method(method, scale)
+    ids = [c.id for c in election.candidates]
     n_vectors = scale.size ** len(ids)
     if n_vectors > max_additions:
         raise VoteError(
             f"{n_vectors} candidate grade vectors exceed the addition-search cap"
         )
-    base = {p.candidate: p.counts for p in election.profiles}
-    before = _counts_outcome(scale, election.candidates, base, ranker)
-
-    found: list[NoShowCounterexample] = []
-    for vector in product(range(scale.size), repeat=len(ids)):
-        shifted = {
-            cid: tuple(
-                c + (1 if gi == vector[ci] else 0) for gi, c in enumerate(base[cid])
-            )
-            for ci, cid in enumerate(ids)
-        }
-        after = _counts_outcome(scale, election.candidates, shifted, ranker)
-        grade_of = dict(zip(ids, vector))
-        if _addition_flips(before, after, grade_of):
-            found.append(
-                NoShowCounterexample(
-                    kind="addition",
-                    grades={cid: scale.labels[g] for cid, g in grade_of.items()},
-                    voter_id=None,
-                    before=before,
-                    after=after,
-                )
-            )
+    if election.n_voters == 0:
+        raise VoteError("cannot rank an election without ballots")
+    base = [p.counts for p in election.profiles]
+    before = outcome_from_counts(method, ids, base, election.n_voters)
+    found = _additions(method, ids, scale.labels, base, election.n_voters, before)
 
     if ballots:
         vectors = _ballot_vectors(election, ballots)
         seen: set[tuple[int, ...]] = set()
         for ballot, vector in zip(ballots, vectors):
-            if vector in seen:
-                continue
+            if vector in seen or election.n_voters == 1:
+                continue  # a repeated ballot, or removal would empty the election
             seen.add(vector)
-            reduced = {
-                cid: tuple(
-                    c - (1 if gi == vector[ci] else 0)
-                    for gi, c in enumerate(base[cid])
-                )
-                for ci, cid in enumerate(ids)
-            }
-            if election.n_voters == 1:
-                continue  # removal would empty the election
-            without = _counts_outcome(scale, election.candidates, reduced, ranker)
-            grade_of = dict(zip(ids, vector))
-            if _removal_helps(before, without, grade_of):
+            reduced = [_bump(c, g, -1) for c, g in zip(base, vector)]
+            without = outcome_from_counts(method, ids, reduced, election.n_voters - 1)
+            # leaving helps when the outcome without the ballot is graded
+            # better, i.e. worse by the ballot's grades reversed
+            reversed_grades = {cid: -g for cid, g in zip(ids, vector)}
+            if _flips_against(before, without, reversed_grades):
                 found.append(
                     NoShowCounterexample(
                         kind="removal",
-                        grades={cid: scale.labels[g] for cid, g in grade_of.items()},
+                        grades={cid: scale.labels[g] for cid, g in zip(ids, vector)},
                         voter_id=ballot.voter_id,
                         before=before,
                         after=without,
@@ -534,40 +553,18 @@ def search_no_show_exhaustive(
     back clean on three grades.
     """
     scale = APPROVAL_SCALE if method == "approval3" else MJ3_SCALE
-    method, ranker = _ranker(method, scale)
-    candidates = (Candidate("a"), Candidate("b"))
+    method = _method(method, scale)
+    ids = ("a", "b")
     report = NoShowSweepReport(n_instances=0, n_additions_checked=0)
     for n in range(1, max_voters + 1):
         tallies = list(_compositions(n, 3))
-        for counts_a in tallies:
-            for counts_b in tallies:
-                report.n_instances += 1
-                base = {"a": counts_a, "b": counts_b}
-                before = _counts_outcome(scale, candidates, base, ranker)
-                for vector in product(range(3), repeat=2):
-                    report.n_additions_checked += 1
-                    shifted = {
-                        cid: tuple(
-                            c + (1 if gi == vector[ci] else 0)
-                            for gi, c in enumerate(base[cid])
-                        )
-                        for ci, cid in enumerate(("a", "b"))
-                    }
-                    after = _counts_outcome(scale, candidates, shifted, ranker)
-                    grade_of = {"a": vector[0], "b": vector[1]}
-                    if _addition_flips(before, after, grade_of):
-                        report.counterexamples.append(
-                            NoShowCounterexample(
-                                kind="addition",
-                                grades={
-                                    cid: scale.labels[g]
-                                    for cid, g in grade_of.items()
-                                },
-                                voter_id=None,
-                                before=before,
-                                after=after,
-                            )
-                        )
+        for base in product(tallies, repeat=2):
+            report.n_instances += 1
+            report.n_additions_checked += scale.size ** len(ids)
+            before = outcome_from_counts(method, ids, base, n)
+            report.counterexamples += _additions(
+                method, ids, scale.labels, base, n, before
+            )
     return report
 
 
@@ -715,14 +712,16 @@ def manipulation_probe(
     winner's.  Informational only: outcomes without a unique winner are
     skipped, not scored.
     """
-    method, ranker = _ranker(method, election.scale)
+    scale = election.scale
+    method = _method(method, scale)
     ids = [c.id for c in election.candidates]
     honest = next((b for b in ballots if b.voter_id == voter_id), None)
     if honest is None:
         raise ValidationError(f"unknown voter_id {voter_id!r}")
     _ballot_vectors(election, ballots)  # integrity check
-    honest_grade = {cid: honest.grade_index(cid, election.scale) for cid in ids}
-    honest_outcome = outcome_of(ranker(election))
+    honest_vector = tuple(honest.grade_index(cid, scale) for cid in ids)
+    full = [p.counts for p in election.profiles]
+    honest_outcome = outcome_from_counts(method, ids, full, election.n_voters)
     report = ManipulationReport(
         voter_id=voter_id,
         honest_winner=honest_outcome.winner,
@@ -730,22 +729,20 @@ def manipulation_probe(
     )
     if honest_outcome.kind != "winner":
         return report
-    n_vectors = election.scale.size ** len(ids)
+    n_vectors = scale.size ** len(ids)
     if n_vectors > max_alternatives:
         raise VoteError(f"{n_vectors} alternative ballots exceed the probe cap")
-    others = [b for b in ballots if b.voter_id != voter_id]
-    for vector in product(election.scale.labels, repeat=len(ids)):
-        grades = dict(zip(ids, vector))
-        if all(honest.grade_index(cid, election.scale)
-               == election.scale.index(grades[cid]) for cid in ids):
-            continue  # the honest ballot itself
+    honest_grade = dict(zip(ids, honest_vector))
+    # the honest ballot comes out of the counts once; each alternative goes in
+    others = [_bump(c, g, -1) for c, g in zip(full, honest_vector)]
+    n_others = election.n_voters - 1
+    for vector, outcome in _with_each_ballot(method, ids, others, n_others, scale.size):
+        if vector == honest_vector:
+            continue
         report.n_alternatives += 1
-        attempt = others + [Ballot(voter_id, grades)]
-        outcome = outcome_of(
-            ranker(build_profiles(election.scale, election.candidates, attempt))
-        )
         if outcome.kind != "winner":
             continue
         if honest_grade[outcome.winner] < honest_grade[honest_outcome.winner]:
+            grades = {cid: scale.labels[g] for cid, g in zip(ids, vector)}
             report.improving.append(Deviation(grades=grades, winner=outcome.winner))
     return report

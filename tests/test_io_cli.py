@@ -91,6 +91,13 @@ def test_config_validation():
         load_config(io.StringIO('{"method": "mj", "candidates": [{"name": "x"}]}'))
     with pytest.raises(ConfigError, match="at least 2"):
         load_config(io.StringIO('{"method": "mj", "options": {"limit": 1}}'))
+    with pytest.raises(ConfigError, match="'candidates' must be a list"):
+        load_config(io.StringIO('{"method": "mj", "candidates": null}'))
+    for key in ("name", "party", "profession"):
+        with pytest.raises(ConfigError, match=f"#1 '{key}' must be a string"):
+            load_config(io.StringIO(
+                '{"method": "mj", "candidates": [{"id": "a", "%s": [1]}]}' % key
+            ))
 
 
 def test_method_scale_pairing():
@@ -591,6 +598,52 @@ def test_cli_config_value_errors_exit_2(tmp_path, capsys):
     ballots.write_text('[{"voter_id": "v1", "accept": true, "choices": []}]')
     assert main(["tally", "--config", str(config), "--ballots", str(ballots)]) == 2
     assert "error: bracket elections need at least two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["9.7", '"10"', "true", "null"])
+def test_cli_check_refuses_a_limit_that_is_not_an_integer(tmp_path, capsys, limit):
+    config = tmp_path / "limit.json"
+    config.write_text('{"method": "mj3", "options": {"limit": %s}}' % limit)
+    ballots = _nine_ballot_mj3(tmp_path)
+    capsys.readouterr()
+    assert main(["check", "--config", str(config), "--ballots", ballots]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: 'options.limit' must be an integer, got {json.loads(limit)!r}\n"
+
+
+@pytest.mark.parametrize("seed", ["[1]", '{"x": 1}', '"7"', "2.5", "false"])
+@pytest.mark.parametrize("flags", [["--random", "2"], ["--samples", "20"]])
+def test_cli_check_refuses_a_seed_that_is_not_an_integer(tmp_path, capsys, seed, flags):
+    config = tmp_path / "seed.json"
+    config.write_text('{"method": "mj3", "options": {"limit": 2, "seed": %s}}' % seed)
+    ballots = _nine_ballot_mj3(tmp_path)
+    capsys.readouterr()
+    assert main(["check", "--config", str(config), "--ballots", ballots, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'options.seed' must be an integer or null, got ")
+    assert "Traceback" not in err
+
+
+def test_cli_writes_large_documents_in_pieces(tmp_path, monkeypatch):
+    # a signal handler interrupting one large write to a full pipe can cut
+    # the output short without an error; writes within the buffer cannot
+    rows = ["voter_id,candidate,grade"] + [f"v1,c{i:03d},positive" for i in range(300)]
+    path = tmp_path / "many.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["tally", "--method", "mj3", "--ballots", str(path)]) == 0
+    text = out.getvalue()
+    assert len(text) > 8192 and max(writes) <= 8192
+    assert all(f"c{i:03d}" in text for i in range(300))
+    assert text.endswith("1 ballots\n")
 
 
 def test_cli_tally_accepts_a_utf8_bom(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Brute-force property harness: consistency, participation, polarization."""
 
+import random
 from itertools import product
 
 import pytest
@@ -15,11 +16,15 @@ from gradevote import (
     Outcome,
     ValidationError,
     VoteError,
+    approval_rank,
     build_profiles,
     check_consistency,
     check_consistency_splits,
+    election_from_counts,
     manipulation_probe,
     mj3_rank,
+    mj_rank,
+    outcome_from_counts,
     outcome_of,
     polarization_sweep,
     polarize,
@@ -30,6 +35,7 @@ from gradevote import (
 )
 from gradevote.fixtures import school_outing, school_outing_3grade
 from gradevote.mj3 import MJ3_SCALE_LABELS
+from gradevote.properties import ConsistencyViolation, PartitionPremise
 
 SCALE3 = GradeScale(MJ3_SCALE_LABELS)
 AB = [Candidate("a"), Candidate("b")]
@@ -54,12 +60,53 @@ def test_outcome_kinds():
     election, _ = _election([{"a": "positive", "b": "positive"}])
     assert outcome_of(mj3_rank(election)) == Outcome("tie", tied=("a", "b"))
 
-    from gradevote import approval_rank, election_from_counts
-
     rejected = approval_rank(
         election_from_counts(APPROVAL_SCALE, AB, {"a": (0, 1, 2), "b": (1, 0, 2)})
     )
     assert outcome_of(rejected) == Outcome("rejected")
+
+
+def _tallies(n_voters, n_grades):
+    """Every per-grade tally of ``n_voters`` ballots on ``n_grades`` grades."""
+    return [
+        counts
+        for counts in product(range(n_voters + 1), repeat=n_grades)
+        if sum(counts) == n_voters
+    ]
+
+
+# (method, grades) -> voter cap for 1, 2 and 3 candidates; every election
+# within the caps is checked (68,977 in all)
+KERNEL_CASES = {
+    ("mj3", 3): (5, 5, 5),
+    ("approval3", 3): (5, 5, 5),
+    ("mj", 2): (5, 5, 5),
+    ("mj", 3): (5, 5, 5),
+    ("mj", 4): (5, 5, 3),
+    ("mj", 5): (5, 4, 2),
+}
+
+
+@pytest.mark.parametrize("method, n_grades", KERNEL_CASES)
+def test_outcome_from_counts_matches_the_rankers_exhaustively(method, n_grades):
+    ranker = {"mj3": mj3_rank, "mj": mj_rank, "approval3": approval_rank}[method]
+    scale = (
+        APPROVAL_SCALE if method == "approval3"
+        else GradeScale(tuple(f"g{i}" for i in range(n_grades)))
+    )
+    seen = set()
+    for n_cands, max_voters in enumerate(KERNEL_CASES[method, n_grades], start=1):
+        candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
+        ids = [c.id for c in candidates]
+        for n in range(1, max_voters + 1):
+            for combo in product(_tallies(n, n_grades), repeat=n_cands):
+                election = election_from_counts(scale, candidates, dict(zip(ids, combo)))
+                expected = outcome_of(ranker(election))
+                assert outcome_from_counts(method, ids, combo, n) == expected, combo
+                seen.add(expected.kind)
+    # rank-1 ties are covered everywhere, rejection where the method has it
+    assert seen == ({"winner", "tie", "rejected"} if method == "approval3"
+                    else {"winner", "tie"})
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +223,68 @@ def test_sampled_partitions_are_distinct():
     report = check_consistency(election, ballots, samples=255, seed=0)
     assert not report.sampled
     assert sorted(repr(p) for p in report.premises) == every_premise
+
+
+def _reference_premises(election, ballots, masks):
+    """Premises and violations with every part recounted from its ballots and
+    ranked by ``mj3_rank``, the reference for the incremental partition walk."""
+    overall = mj3_rank(election).winner
+    premises, violations = [], []
+    for mask in masks:
+        part1 = [b for i, b in enumerate(ballots) if mask >> i & 1]
+        part2 = [b for i, b in enumerate(ballots) if not mask >> i & 1]
+        ranked = [mj3_rank(build_profiles(SCALE3, election.candidates, part))
+                  for part in (part1, part2)]
+        winner = ranked[0].winner
+        if winner is None or winner != ranked[1].winner:
+            continue
+        s1, s2 = ({e.candidate: e.score for e in r.entries} for r in ranked)
+        if not (s1[winner] * s2[winner] > 0 or s1[winner] == s2[winner] == 0):
+            continue
+        if any(s1[c] * s2[c] < 0 for c in s1):
+            continue
+        sizes = (len(part1), len(part2))
+        premises.append(PartitionPremise(sizes, winner, s1, s2))
+        if winner != overall:
+            violations.append(
+                ConsistencyViolation(sizes, winner, overall, s1[winner], s2[winner])
+            )
+    return premises, violations
+
+
+def test_partition_walk_matches_a_recount_of_every_part():
+    rng = random.Random(2718)
+    checked = {False: 0, True: 0}
+    while min(checked.values()) < 12:
+        n = rng.randint(2, 9)
+        candidates = [Candidate(f"c{i + 1}") for i in range(rng.randint(1, 4))]
+        election, ballots = _election(
+            [{c.id: rng.choice(MJ3_SCALE_LABELS) for c in candidates} for _ in range(n)],
+            candidates=candidates,
+        )
+        if mj3_rank(election).winner is None:
+            continue
+        space = 2 ** (n - 1) - 1
+        sampled = n > 3 and rng.random() < 0.5
+        if sampled:
+            samples, seed = rng.randint(1, space - 1), rng.randint(0, 99)
+            report = check_consistency(
+                election, ballots, limit=n - 1, samples=samples, seed=seed
+            )
+            # the distinct draws check_consistency makes
+            draw, masks = random.Random(seed), {}
+            while len(masks) < samples:
+                masks.setdefault(draw.randint(1, space))
+        else:
+            report = check_consistency(election, ballots, limit=n)
+            masks = range(1, space + 1)
+        premises, violations = _reference_premises(election, ballots, masks)
+        assert report.sampled is sampled
+        assert report.n_partitions_checked == len(masks)
+        assert report.n_premise_satisfied == len(premises)
+        assert report.premises == premises
+        assert report.violations == violations
+        checked[sampled] += 1
 
 
 def test_check_requires_unique_combined_winner():
