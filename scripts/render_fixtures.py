@@ -10,16 +10,9 @@ import argparse
 from pathlib import Path
 
 from gradevote import bracket_elect, build_profiles
-from gradevote.ballot_io import (
-    ElectionConfig,
-    ballots_to_csv,
-    bracket_ballots_to_json,
-    config_to_json,
-    render_bracket,
-    render_result,
-)
+from gradevote.ballot_io import render_bracket, render_result
 from gradevote.cli import RANKERS
-from gradevote.fixtures import fixture_names, load_fixture
+from gradevote.fixtures import FIXTURES, load_fixture, write_wire_files
 
 
 def main(argv=None):
@@ -32,7 +25,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    for name in fixture_names():
+    for name in FIXTURES:
         fixture = load_fixture(name)
         print(f"== {name}: {fixture.notes}")
         if fixture.method == "bracket":
@@ -45,26 +38,9 @@ def main(argv=None):
             print(render_result(RANKERS[fixture.method](election), args.format), end="")
         print()
         if args.outdir:
-            _write_wire_files(fixture, Path(args.outdir))
+            config_path, ballots_path = write_wire_files(fixture, Path(args.outdir))
+            print(f"wrote {config_path} and {ballots_path}")
     return 0
-
-
-def _write_wire_files(fixture, outdir):
-    outdir.mkdir(parents=True, exist_ok=True)
-    config = ElectionConfig(
-        method=fixture.method, scale=fixture.scale, candidates=fixture.candidates
-    )
-    (outdir / f"{fixture.name}.config.json").write_text(
-        config_to_json(config), encoding="utf-8"
-    )
-    if fixture.method == "bracket":
-        ballots = bracket_ballots_to_json(fixture.bracket_ballots)
-        path = outdir / f"{fixture.name}.ballots.json"
-    else:
-        ballots = ballots_to_csv(fixture.ballots)
-        path = outdir / f"{fixture.name}.ballots.csv"
-    path.write_text(ballots, encoding="utf-8")
-    print(f"wrote {outdir / (fixture.name + '.config.json')} and {path}")
 
 
 if __name__ == "__main__":

@@ -20,15 +20,25 @@ Wire formats:
 
 Row-level problems (unknown grade, unknown candidate, duplicate marks) reject
 the row and are reported; they never silently drop a voter's other valid
-rows.  File-level problems (unreadable input, malformed header) raise
+rows.  File-level problems (unreadable input, text the csv module refuses,
+such as a field over its size limit, malformed header) raise
 :class:`ValidationError`.
+
+:func:`parse_ballots` returns one :class:`Ballot` per voter, for the property
+harness; :func:`count_ballots` returns only the per-grade counts a tally
+needs, and counts a CSV file without rejected rows column by column.
 """
 
 import csv
+import gc
 import io
 import json
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 from .approval import APPROVAL_SCALE, borderline_candidates
@@ -37,8 +47,11 @@ from .core import (
     Ballot,
     Candidate,
     ConfigError,
+    ElectionProfile,
+    GradeProfile,
     GradeScale,
     ValidationError,
+    build_profiles,
 )
 from .mj3 import MJ3_SCALE_LABELS
 from .results import Block, RankedEntry, RankedResult
@@ -210,9 +223,18 @@ def _read_text(source: "str | Path | io.TextIOBase") -> str:
     raise ValidationError(f"cannot read {source}: {reason}")
 
 
-def _looks_like_json(text: str) -> bool:
-    head = text.lstrip()[:1]
-    return head in ("[", "{")
+def _is_json(source: "str | Path | io.TextIOBase", text: str) -> bool:
+    """JSON by a ``.json`` path suffix, else by a leading ``[`` or ``{``."""
+    if isinstance(source, (str, Path)) and str(source).endswith(".json"):
+        return True
+    return text.lstrip()[:1] in ("[", "{")
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    try:
+        return list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValidationError(f"ballots are not valid CSV: {exc}") from None
 
 
 def parse_ballots(
@@ -228,20 +250,99 @@ def parse_ballots(
     candidate roster actually in effect.
     """
     text = _read_text(source)
-    if isinstance(source, (str, Path)) and str(source).endswith(".json"):
-        json_input = True
-    else:
-        json_input = _looks_like_json(text) and text.strip() != ""
-    if json_input:
+    if _is_json(source, text):
         return _parse_ballots_json(text, scale, candidates)
-    return _parse_ballots_csv(text, scale, candidates)
+    return _parse_ballots_csv(_csv_rows(text), scale, candidates)
+
+
+def count_ballots(
+    source: "str | Path | io.TextIOBase",
+    scale: GradeScale,
+    candidates: Sequence[Candidate] = (),
+) -> tuple[ElectionProfile, ParseReport, tuple[Candidate, ...]]:
+    """Read graded ballots straight into per-grade counts.
+
+    Returns what ``build_profiles`` makes of :func:`parse_ballots`' result,
+    with the same report and roster.  A CSV file in which no row would be
+    rejected or skipped is counted column by column and never becomes
+    :class:`Ballot` objects; any other input is read row by row.
+    """
+    text = _read_text(source)
+    if _is_json(source, text):
+        ballots, report, roster = _parse_ballots_json(text, scale, candidates)
+    else:
+        with _gc_paused():
+            counted = _count_clean_csv(text, scale, candidates)
+        if counted is not None:
+            return counted
+        ballots, report, roster = _parse_ballots_csv(
+            _csv_rows(text), scale, candidates
+        )
+    return build_profiles(scale, roster, ballots), report, roster
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector: reading a long file allocates one
+    list per row and makes no reference cycles, so its passes find nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _count_clean_csv(
+    text: str, scale: GradeScale, candidates: Sequence[Candidate]
+) -> "tuple[ElectionProfile, ParseReport, tuple[Candidate, ...]] | None":
+    """Count long-format CSV column-wise, or ``None`` if the row-by-row
+    reader would reject or skip any row (or the file has no data rows).
+
+    Every check is one pass of a C-level builtin over a column; ``zip(*rows)``
+    is avoided, since it passes one argument per row.
+    """
+    rows = _csv_rows(text)
+    n_rows = len(rows) - 1
+    if (
+        n_rows < 1
+        or tuple(cell.strip() for cell in rows[0]) != BALLOT_CSV_HEADER
+        or set(map(len, rows)) != {3}
+    ):
+        return None
+    voters, cids, grades = [
+        list(map(str.strip, map(itemgetter(i), islice(rows, 1, None))))
+        for i in range(3)
+    ]
+    # the row lists are the largest allocation: free them before the pair
+    # set below is built, so the two never peak together
+    del rows
+    registered = {c.id: c for c in candidates}
+    known = registered or dict.fromkeys(cids)
+    if "" in voters or "" in known:
+        return None
+    labels = scale.labels
+    tally = Counter(zip(cids, grades))
+    if any(cid not in known or grade not in labels for cid, grade in tally):
+        return None
+    if len(set(zip(voters, cids))) != n_rows:
+        return None
+    n_voters = len(set(voters))
+    roster = tuple(registered.values()) or tuple(Candidate(cid) for cid in known)
+    profiles = []
+    for candidate in roster:
+        counts = [tally[candidate.id, label] for label in labels]
+        counts[-1] += n_voters - sum(counts)
+        profiles.append(GradeProfile(candidate.id, tuple(counts)))
+    report = ParseReport(n_rows=n_rows, n_ballots=n_voters)
+    return ElectionProfile(scale, roster, tuple(profiles), n_voters), report, roster
 
 
 def _parse_ballots_csv(
-    text: str, scale: GradeScale, candidates: Sequence[Candidate]
+    rows: list[list[str]], scale: GradeScale, candidates: Sequence[Candidate]
 ) -> tuple[list[Ballot], ParseReport, tuple[Candidate, ...]]:
     report = ParseReport()
-    rows = [r for r in csv.reader(io.StringIO(text))]
     if not rows:
         report.notes.append("empty input: no ballots")
         return [], report, tuple(candidates)

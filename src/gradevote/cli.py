@@ -24,9 +24,7 @@ from .ballot_io import (
     ElectionConfig,
     ParseReport,
     REJECTED_BANNER,
-    ballots_to_csv,
-    bracket_ballots_to_json,
-    config_to_json,
+    count_ballots,
     load_config,
     parse_ballots,
     parse_bracket_ballots,
@@ -35,7 +33,7 @@ from .ballot_io import (
 )
 from .bracket import bracket_elect
 from .core import Ballot, ConfigError, ElectionProfile, VoteError, build_profiles
-from .fixtures import FIXTURES, load_fixture
+from .fixtures import FIXTURES, load_fixture, write_wire_files
 from .mj import mj_rank
 from .mj3 import mj3_rank
 from .properties import (
@@ -154,11 +152,15 @@ def _load_grade_election(args: argparse.Namespace, config: ElectionConfig) -> _G
     ballots, report, candidates = parse_ballots(
         _ballot_source(args), config.scale, config.candidates
     )
+    _print_grade_report(report, candidates)
+    election = build_profiles(config.scale, candidates, ballots)
+    return _GradeElection(config, ballots, election, report)
+
+
+def _print_grade_report(report: ParseReport, candidates: tuple) -> None:
     _print_report(report)
     if not candidates:
         raise VoteError("no candidates registered or inferred from ballots")
-    election = build_profiles(config.scale, candidates, ballots)
-    return _GradeElection(config, ballots, election, report)
 
 
 def _print_report(report: ParseReport) -> None:
@@ -196,10 +198,12 @@ def cmd_tally(args: argparse.Namespace) -> int:
         result = bracket_elect(config.candidates, ballots)
         _emit(render_bracket(result, args.format))
         return 0 if report.ok else 1
-    loaded = _load_grade_election(args, config)
-    result = RANKERS[config.method](loaded.election)
-    _emit(render_result(result, args.format))
-    return 0 if loaded.report.ok else 1
+    election, report, candidates = count_ballots(
+        _ballot_source(args), config.scale, config.candidates
+    )
+    _print_grade_report(report, candidates)
+    _emit(render_result(RANKERS[config.method](election), args.format))
+    return 0 if report.ok else 1
 
 
 def _describe_outcome(outcome) -> str:
@@ -366,23 +370,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     _emit(rendered)
 
     if args.outdir:
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        config = ElectionConfig(
-            method=fixture.method, scale=fixture.scale, candidates=fixture.candidates
-        )
-        config_path = outdir / f"{fixture.name}.config.json"
-        config_path.write_text(config_to_json(config), encoding="utf-8")
-        if fixture.method == "bracket":
-            ballots_path = outdir / f"{fixture.name}.ballots.json"
-            ballots_path.write_text(
-                bracket_ballots_to_json(fixture.bracket_ballots), encoding="utf-8"
-            )
-        else:
-            ballots_path = outdir / f"{fixture.name}.ballots.csv"
-            ballots_path.write_text(ballots_to_csv(fixture.ballots), encoding="utf-8")
-        print(f"wrote {config_path}", file=sys.stderr)
-        print(f"wrote {ballots_path}", file=sys.stderr)
+        for path in write_wire_files(fixture, Path(args.outdir)):
+            print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

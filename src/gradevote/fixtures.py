@@ -16,10 +16,16 @@ Four small scenarios exercise every method and every interesting behaviour:
   smaller half and is eliminated at the first split.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .approval import APPROVAL_SCALE
+from .ballot_io import (
+    ElectionConfig,
+    ballots_to_csv,
+    bracket_ballots_to_json,
+    config_to_json,
+)
 from .bracket import BracketBallot, sincere_ballot
 from .core import Ballot, Candidate, GradeScale
 from .mj3 import MJ3_SCALE
@@ -184,5 +190,20 @@ def load_fixture(name: str) -> Fixture:
         ) from None
 
 
-def fixture_names() -> Sequence[str]:
-    return tuple(FIXTURES)
+def write_wire_files(fixture: Fixture, outdir: Path) -> tuple[Path, Path]:
+    """Write ``fixture``'s config and ballot files into ``outdir`` (made if
+    missing), in the formats ``gradevote tally`` reads; return their paths."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    config = ElectionConfig(
+        method=fixture.method, scale=fixture.scale, candidates=fixture.candidates
+    )
+    config_path = outdir / f"{fixture.name}.config.json"
+    config_path.write_text(config_to_json(config), encoding="utf-8")
+    if fixture.method == "bracket":
+        ballots_path = outdir / f"{fixture.name}.ballots.json"
+        ballots = bracket_ballots_to_json(fixture.bracket_ballots)
+    else:
+        ballots_path = outdir / f"{fixture.name}.ballots.csv"
+        ballots = ballots_to_csv(fixture.ballots)
+    ballots_path.write_text(ballots, encoding="utf-8")
+    return config_path, ballots_path

@@ -70,24 +70,38 @@ def configs(draw, bad_field=None):
 
 
 @st.composite
+def cells(draw, values):
+    """One of ``values``, sometimes padded with whitespace or quoted."""
+    pads = st.sampled_from(["", "", "", " ", "\t"])
+    cell = draw(pads) + draw(st.sampled_from(values)) + draw(pads)
+    return f'"{cell}"' if draw(st.integers(0, 3)) == 0 else cell
+
+
+@st.composite
 def ballot_files(draw, config):
     """A small long-format CSV whose rows mostly name the candidates and
-    grades of a valid ``config``, with a few bad or junk rows."""
+    grades of a valid ``config``, with a few bad or junk rows, quoted or
+    padded cells, CRLF line ends and, rarely, a field over the csv module's
+    size limit."""
     default = SCALES[1] if config["method"] == "approval3" else SCALES[0]
     scale = config.get("scale", default)
     ids = [row["id"] for row in config["candidates"]]
-    # sampled_from picks evenly, so repeats weight the good values
+    # sampled_from picks evenly, so repeats weight the good values; "v,5"
+    # is one voter when quoted and a ragged row when not
     row = st.tuples(
-        st.sampled_from(VOTERS[:4] * 3 + VOTERS[4:]),
-        st.sampled_from((ids or CANDIDATES[:3]) * 6 + CANDIDATES[3:]),
-        st.sampled_from(scale * 4 + ["bogus", ""]),
+        cells(VOTERS[:4] * 3 + VOTERS[4:] + ["v,5"]),
+        cells((ids or CANDIDATES[:3]) * 6 + CANDIDATES[3:]),
+        cells(scale * 4 + ["bogus", ""]),
     ).map(",".join)
     lines = draw(st.lists(row, min_size=1, max_size=10))
     for junk in draw(st.lists(st.text(alphabet=',ab"\n ', max_size=6), max_size=2)):
         lines.insert(draw(st.integers(0, len(lines))), junk)
+    if draw(st.integers(0, 7)) == 7:
+        lines.insert(draw(st.integers(0, len(lines))), "v1,a," + "x" * 131_073)
     bom = draw(st.sampled_from(["", "\ufeff"]))
     header = draw(st.sampled_from(["voter_id,candidate,grade"] * 4 + ["voter,grade", ""]))
-    return bom + "\n".join([header, *lines]) + "\n"
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return bom + end.join([header, *lines]) + end
 
 
 tally_flags = st.sampled_from(["table", "json", "csv"]).map(

@@ -585,6 +585,19 @@ def test_cli_unreadable_inputs_end_in_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read")
 
 
+def test_cli_oversize_csv_field_ends_in_an_error_line(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "voter_id,candidate,grade\nv1,a," + "x" * 131_073 + "\n", encoding="utf-8"
+    )
+    for verb in ("tally", "check"):
+        assert main([verb, "--method", "mj3", "--ballots", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ballots are not valid CSV: field larger")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_config_value_errors_exit_2(tmp_path, capsys):
     config = tmp_path / "limit.json"
     config.write_text('{"method": "mj3", "options": {"limit": "many"}}')
