@@ -9,10 +9,12 @@ accepts, so the fixtures double as ready-made CLI examples.
 import argparse
 from pathlib import Path
 
-from gradevote import bracket_elect, build_profiles
-from gradevote.ballot_io import render_bracket, render_result
-from gradevote.cli import RANKERS
-from gradevote.fixtures import FIXTURES, load_fixture, write_wire_files
+from gradevote.fixtures import (
+    FIXTURES,
+    load_fixture,
+    render_fixture,
+    write_wire_files,
+)
 
 
 def main(argv=None):
@@ -28,15 +30,7 @@ def main(argv=None):
     for name in FIXTURES:
         fixture = load_fixture(name)
         print(f"== {name}: {fixture.notes}")
-        if fixture.method == "bracket":
-            result = bracket_elect(fixture.candidates, fixture.bracket_ballots)
-            print(render_bracket(result, args.format), end="")
-        else:
-            election = build_profiles(
-                fixture.scale, fixture.candidates, fixture.ballots
-            )
-            print(render_result(RANKERS[fixture.method](election), args.format), end="")
-        print()
+        print(render_fixture(fixture, args.format))
         if args.outdir:
             config_path, ballots_path = write_wire_files(fixture, Path(args.outdir))
             print(f"wrote {config_path} and {ballots_path}")

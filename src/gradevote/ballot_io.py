@@ -130,12 +130,16 @@ def load_config(source: "str | Path | io.TextIOBase") -> ElectionConfig:
     if not isinstance(rows, list):
         raise ConfigError("'candidates' must be a list of objects")
     candidates = []
+    seen: set[str] = set()
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or not isinstance(row.get("id"), str):
             raise ConfigError(f"candidate #{i + 1} needs a string 'id'")
         for key in ("name", "party", "profession"):
             if not isinstance(row.get(key, ""), (str, type(None))):
                 raise ConfigError(f"candidate #{i + 1} '{key}' must be a string")
+        if row["id"] in seen:
+            raise ConfigError(f"duplicate candidate id {row['id']!r}")
+        seen.add(row["id"])
         candidates.append(
             Candidate(
                 id=row["id"],

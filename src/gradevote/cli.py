@@ -33,9 +33,8 @@ from .ballot_io import (
 )
 from .bracket import bracket_elect
 from .core import Ballot, ConfigError, ElectionProfile, VoteError, build_profiles
-from .fixtures import FIXTURES, load_fixture, write_wire_files
-from .mj import mj_rank
-from .mj3 import mj3_rank
+from .fixtures import FIXTURES, load_fixture, render_fixture, write_wire_files
+from .methods import RANKERS
 from .properties import (
     NoShowCounterexample,
     NoUniqueWinnerError,
@@ -45,8 +44,6 @@ from .properties import (
     random_consistency_sweep,
     search_no_show,
 )
-
-RANKERS = {"mj": mj_rank, "mj3": mj3_rank, "approval3": approval_rank}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,14 +357,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         fixture = load_fixture(args.name)
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from None
-
-    if fixture.method == "bracket":
-        result = bracket_elect(fixture.candidates, fixture.bracket_ballots)
-        rendered = render_bracket(result, args.format)
-    else:
-        election = build_profiles(fixture.scale, fixture.candidates, fixture.ballots)
-        rendered = render_result(RANKERS[fixture.method](election), args.format)
-    _emit(rendered)
+    _emit(render_fixture(fixture, args.format))
 
     if args.outdir:
         for path in write_wire_files(fixture, Path(args.outdir)):

@@ -25,9 +25,12 @@ from .ballot_io import (
     ballots_to_csv,
     bracket_ballots_to_json,
     config_to_json,
+    render_bracket,
+    render_result,
 )
-from .bracket import BracketBallot, sincere_ballot
-from .core import Ballot, Candidate, GradeScale
+from .bracket import BracketBallot, bracket_elect, sincere_ballot
+from .core import Ballot, Candidate, GradeScale, build_profiles
+from .methods import RANKERS
 from .mj3 import MJ3_SCALE
 
 SCHOOL_SCALE = GradeScale(("Cool!", "Nice", "Ok", "Help, no!"))
@@ -188,6 +191,16 @@ def load_fixture(name: str) -> Fixture:
         raise KeyError(
             f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}"
         ) from None
+
+
+def render_fixture(fixture: Fixture, fmt: str) -> str:
+    """Tally ``fixture`` by its own method and render the result as ``fmt``
+    (``table``, ``json`` or ``csv``), as ``gradevote demo`` prints it."""
+    if fixture.method == "bracket":
+        result = bracket_elect(fixture.candidates, fixture.bracket_ballots)
+        return render_bracket(result, fmt)
+    election = build_profiles(fixture.scale, fixture.candidates, fixture.ballots)
+    return render_result(RANKERS[fixture.method](election), fmt)
 
 
 def write_wire_files(fixture: Fixture, outdir: Path) -> tuple[Path, Path]:

@@ -23,9 +23,10 @@ The exhaustive generators (:func:`search_no_show_exhaustive`,
 :func:`search_cross_method_disagreements`, :func:`random_consistency_sweep`,
 :func:`polarization_sweep`) drive whole instance families and are what the
 ``check`` command and the test suite run.  Every search that needs only a
-decision takes it from :func:`outcome_from_counts`, on raw count tuples;
-:func:`search_cross_method_disagreements` alone runs the full rankers, as it
-compares whole orders.
+decision takes it from :func:`outcome_from_counts`, on raw count tuples.
+:func:`search_cross_method_disagreements` compares whole orders and tie
+groups, taken from each method's sort key computed once per tally; the full
+rankers remain its test oracle.
 """
 
 import random
@@ -45,11 +46,10 @@ from .core import (
     ValidationError,
     VoteError,
     build_profiles,
-    election_from_counts,
 )
-from .mj import _rank_keys, mj_rank
-from .mj3 import MJ3_SCALE, mj3_rank
-from .results import Block, RankedResult
+from .mj import _gauge, _rank_keys, _removal_key
+from .mj3 import MJ3_SCALE
+from .results import Block, RankedResult, competition_ranks
 
 #: Per-candidate counts, best grade first, in registration order.
 Tallies = Sequence[Sequence[int]]
@@ -584,6 +584,27 @@ class CrossMethodReport:
         return not self.disagreements
 
 
+def _ranking(keys: Sequence) -> tuple[list[int], list[list[int]]]:
+    """The stable index order of ``keys`` and its groups of equal keys (size
+    >= 2, members in registration order): how a ranker sorting by ``keys``
+    orders and ties its candidates."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    _, groups = competition_ranks([keys[i] for i in order])
+    return order, [[order[pos] for pos in group] for group in groups]
+
+
+def _cross_method_keys(n: int) -> tuple[list[tuple[int, ...]], list, list]:
+    """Every three-grade tally of ``n`` ballots with its ``mj3`` key and its
+    full ``mj`` key (the majority gauge plus the removal key)."""
+    tallies = list(_compositions(n, 3))
+    return (
+        tallies,
+        # the (s, t) pair, negated, as in outcome_from_counts
+        [(-p, q) if p > q else (q, -p) for p, _, q in tallies],
+        [_gauge(counts, n) + _removal_key(counts, n) for counts in tallies],
+    )
+
+
 def search_cross_method_disagreements(
     *, max_voters: int = 4, max_candidates: int = 3
 ) -> CrossMethodReport:
@@ -591,26 +612,31 @@ def search_cross_method_disagreements(
 
     Enumerates every 3-grade election with up to ``max_voters`` ballots and up
     to ``max_candidates`` candidates (by per-candidate tallies, which is all
-    either method reads) and diffs the two full rankings including tie groups.
+    either method reads) and diffs the two rankings, tie groups included.
+    Each ranking is taken from the sort key its ranker uses, computed once
+    per tally and electorate size (:func:`_cross_method_keys`): the
+    ``(s, t)`` pair of ``mj3_rank``, and the majority gauge plus removal key
+    of ``mj_rank``, which sorts like the full removal sequence and is equal
+    only for equal tallies.  No profile or ranking is built per election; the
+    full rankers remain the test oracle of this search.
     """
+    tables = {n: _cross_method_keys(n) for n in range(1, max_voters + 1)}
     report = CrossMethodReport(n_instances=0)
     for n_cands in range(1, max_candidates + 1):
-        candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
+        ids = [f"c{i + 1}" for i in range(n_cands)]
         for n in range(1, max_voters + 1):
-            tallies = list(_compositions(n, 3))
-            for combo in product(tallies, repeat=n_cands):
+            tallies, score_keys, removal_keys = tables[n]
+            for combo in product(range(len(tallies)), repeat=n_cands):
                 report.n_instances += 1
-                counts = {c.id: combo[i] for i, c in enumerate(candidates)}
-                election = election_from_counts(MJ3_SCALE, candidates, counts)
-                by_score = mj3_rank(election)
-                by_removal = mj_rank(election)
-                if (
-                    by_score.order != by_removal.order
-                    or by_score.tie_groups != by_removal.tie_groups
-                ):
+                by_score = _ranking([score_keys[i] for i in combo])
+                by_removal = _ranking([removal_keys[i] for i in combo])
+                if by_score != by_removal:
+                    counts = {cid: tallies[i] for cid, i in zip(ids, combo)}
+                    score_order = tuple(ids[i] for i in by_score[0])
+                    removal_order = tuple(ids[i] for i in by_removal[0])
                     report.disagreements.append(
-                        f"counts {counts}: score order {by_score.order} "
-                        f"vs removal order {by_removal.order}"
+                        f"counts {counts}: score order {score_order} "
+                        f"vs removal order {removal_order}"
                     )
     return report
 

@@ -613,6 +613,24 @@ def test_cli_config_value_errors_exit_2(tmp_path, capsys):
     assert "error: bracket elections need at least two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tally", "check"])
+def test_cli_refuses_a_duplicate_candidate_id(tmp_path, capsys, command):
+    config = tmp_path / "dup.json"
+    config.write_text(
+        '{"method": "mj3", "candidates": [{"id": "a", "name": "First"}, '
+        '{"id": "a", "name": "Second"}, {"id": "b"}]}'
+    )
+    ballots = tmp_path / "dup.csv"
+    ballots.write_text(
+        "voter_id,candidate,grade\nv1,a,positive\nv1,b,negative\n"
+        "v2,a,neutral\nv2,b,neutral\n"
+    )
+    assert main([command, "--config", str(config), "--ballots", str(ballots)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate candidate id 'a'\n"
+
+
 @pytest.mark.parametrize("limit", ["9.7", '"10"', "true", "null"])
 def test_cli_check_refuses_a_limit_that_is_not_an_integer(tmp_path, capsys, limit):
     config = tmp_path / "limit.json"

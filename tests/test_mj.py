@@ -1,7 +1,7 @@
 """Median-grade ranking for scales of any size."""
 
 from functools import cmp_to_key
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +20,7 @@ from gradevote import (
 from gradevote.core import GradeProfile
 from gradevote.fixtures import SCHOOL_SCALE, school_outing
 from gradevote.mj import _removal_key
+from gradevote.mj3 import Tally3, score3
 
 THREE = GradeScale(("good", "ok", "bad"))
 
@@ -241,6 +242,24 @@ def test_removal_key_orders_like_majority_value(grades, max_n):
         by_key = sorted(tallies, key=lambda t: _removal_key(t, n))
         assert by_key == by_value
         assert len({_removal_key(t, n) for t in tallies}) == len(tallies)
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def test_three_grade_score_pair_is_the_majority_gauge():
+    """On three grades the score form's ``(s, t)`` pair, best first, orders
+    and ties every pair of same-size tallies as the removal sequence does."""
+    for n in range(1, 11):
+        tallies = list(all_tallies(n, 3))
+        pairs = [score3(Tally3(*t)) for t in tallies]
+        keys = [(-pair.s, -pair.t) for pair in pairs]
+        values = [majority_value(GradeProfile("x", t)) for t in tallies]
+        for i, j in product(range(len(tallies)), repeat=2):
+            assert _cmp(keys[i], keys[j]) == _cmp(values[i], values[j]), (
+                tallies[i], tallies[j]
+            )
 
 
 @pytest.mark.parametrize("grades", [4, 5])

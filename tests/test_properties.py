@@ -1,6 +1,7 @@
 """Brute-force property harness: consistency, participation, polarization."""
 
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -35,7 +36,13 @@ from gradevote import (
 )
 from gradevote.fixtures import school_outing, school_outing_3grade
 from gradevote.mj3 import MJ3_SCALE_LABELS
-from gradevote.properties import ConsistencyViolation, PartitionPremise
+from gradevote.properties import (
+    ConsistencyViolation,
+    CrossMethodReport,
+    PartitionPremise,
+    _cross_method_keys,
+    _ranking,
+)
 
 SCALE3 = GradeScale(MJ3_SCALE_LABELS)
 AB = [Candidate("a"), Candidate("b")]
@@ -385,6 +392,77 @@ def test_score_form_matches_iterated_removal_exhaustively():
     report = search_cross_method_disagreements(max_voters=3, max_candidates=2)
     assert report.ok
     assert report.n_instances == (3 + 6 + 10) + (3**2 + 6**2 + 10**2) == 164
+
+
+C123 = [Candidate("c1"), Candidate("c2"), Candidate("c3")]
+
+
+@cache
+def _full_rankings(combo):
+    """The order and tie groups of ``mj3_rank`` and of ``mj_rank`` on the
+    three-grade election with tallies ``combo`` (candidates ``c1``, ``c2``,
+    ... in that order).  Cached: the key test below ranks every election the
+    reference needs."""
+    candidates = C123[:len(combo)]
+    counts = {c.id: tallies for c, tallies in zip(candidates, combo)}
+    election = election_from_counts(SCALE3, candidates, counts)
+    return tuple(
+        (result.order, result.tie_groups)
+        for result in (mj3_rank(election), mj_rank(election))
+    )
+
+
+def _cross_method_reference(*, max_voters, max_candidates):
+    """The cross-method search as it ran on profiles: both full rankings of
+    every election, diffed by order and tie groups."""
+    report = CrossMethodReport(n_instances=0)
+    for n_cands in range(1, max_candidates + 1):
+        ids = [f"c{i + 1}" for i in range(n_cands)]
+        for n in range(1, max_voters + 1):
+            for combo in product(_tallies(n, 3), repeat=n_cands):
+                report.n_instances += 1
+                counts = dict(zip(ids, combo))
+                by_score, by_removal = _full_rankings(combo)
+                if by_score != by_removal:
+                    report.disagreements.append(
+                        f"counts {counts}: score order {by_score[0]} "
+                        f"vs removal order {by_removal[0]}"
+                    )
+    return report
+
+
+def _as_indices(ranking):
+    """An order and its tie groups of candidate ids as candidate positions."""
+    order, groups = ranking
+    position = {f"c{i + 1}": i for i in range(3)}
+    return (
+        [position[cid] for cid in order],
+        [[position[cid] for cid in group] for group in groups],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cross_method_keys_rank_every_election_like_the_rankers(n):
+    tallies, score_keys, removal_keys = _cross_method_keys(n)
+    assert tallies == _tallies(n, 3)
+    seen_ties = False
+    for n_cands in (1, 2, 3):
+        for combo in product(range(len(tallies)), repeat=n_cands):
+            by_score, by_removal = _full_rankings(tuple(tallies[i] for i in combo))
+            assert _ranking([score_keys[i] for i in combo]) == _as_indices(by_score)
+            assert _ranking([removal_keys[i] for i in combo]) == _as_indices(by_removal)
+            seen_ties = seen_ties or bool(by_score[1])
+    assert seen_ties
+
+
+@pytest.mark.parametrize("max_voters", [1, 2, 3, 4])
+def test_cross_method_search_matches_the_full_rankers(max_voters):
+    for max_candidates in (1, 2, 3):
+        assert search_cross_method_disagreements(
+            max_voters=max_voters, max_candidates=max_candidates
+        ) == _cross_method_reference(
+            max_voters=max_voters, max_candidates=max_candidates
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""Smoke tests for the scripts under ``scripts/``, run in-process."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+from gradevote.cli import main as cli_main
+from gradevote.fixtures import FIXTURES, load_fixture
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script_main(name):
+    return runpy.run_path(str(SCRIPTS / name))["main"]
+
+
+def test_property_sweeps_script_runs_clean(capsys):
+    assert _script_main("run_property_sweeps.py")(["--instances", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(
+        line.startswith("method agreement: 5022 elections: ok") for line in lines
+    )
+    assert lines[-1] == "all sweeps clean"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_render_fixtures_script_prints_what_demo_prints(capsys, fmt):
+    expected = []
+    for name in FIXTURES:
+        assert cli_main(["demo", name, "--format", fmt]) == 0
+        demo = capsys.readouterr().out
+        expected.append(f"== {name}: {load_fixture(name).notes}\n{demo}\n")
+    assert _script_main("render_fixtures.py")(["--format", fmt]) == 0
+    assert capsys.readouterr().out == "".join(expected)
