@@ -58,7 +58,8 @@ def main(argv=None):
     )
     failures += _report(
         f"consistency: {args.instances} random instances, "
-        f"{sweep.n_partitions_checked} partitions",
+        f"{sweep.n_partitions_checked} partitions, "
+        f"{sweep.n_premise_satisfied} matched the premise",
         sweep.violations,
         started,
     )

@@ -16,7 +16,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .approval import approval_rank, borderline_candidates
@@ -118,13 +118,7 @@ def _resolve_config(args: argparse.Namespace) -> ElectionConfig:
     if args.config:
         config = load_config(args.config)
         if args.method and args.method != config.method:
-            config = ElectionConfig(
-                method=args.method,
-                scale=config.scale,
-                candidates=config.candidates,
-                limit=config.limit,
-                seed=config.seed,
-            )
+            config = replace(config, method=args.method)
         return config
     if not args.method:
         raise ConfigError("pass --config or --method")
@@ -226,6 +220,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ConfigError(
             "the property harness covers grade methods (mj, mj3, approval3)"
         )
+    for flag, least in (("limit", 2), ("samples", 1), ("random", 0)):
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag} must be at least {least}, got {value}")
     loaded = _load_grade_election(args, config)
     election, ballots = loaded.election, loaded.ballots
     limit = args.limit if args.limit is not None else config.limit

@@ -107,20 +107,20 @@ def mj3_rank(election: ElectionProfile) -> RankedResult:
         )
     if election.n_voters == 0:
         raise VoteError("cannot rank an election without ballots")
-    pairs = [score3(Tally3.from_profile(p)) for p in election.profiles]
-    order = sorted(
-        range(len(election.candidates)),
-        key=lambda i: (-pairs[i].s, -pairs[i].t),
-    )
-    ranks, groups = competition_ranks([(pairs[i].s, pairs[i].t) for i in order])
+    # the (s, t) pair of score3, straight from the counts; a reversed sort
+    # stays stable, so equal pairs keep registration order
+    pairs = [(p, -q) if p > q else (-q, p)
+             for p, _, q in (prof.counts for prof in election.profiles)]
+    order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
+    ranks, groups = competition_ranks([pairs[i] for i in order])
     entries = tuple(
         RankedEntry(
             rank=ranks[pos],
             candidate=election.candidates[i].id,
             name=election.candidates[i].name,
             counts=election.profiles[i].counts,
-            score=pairs[i].s,
-            tiebreak=pairs[i].t,
+            score=pairs[i][0],
+            tiebreak=pairs[i][1],
         )
         for pos, i in enumerate(order)
     )

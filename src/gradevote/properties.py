@@ -24,6 +24,8 @@ The exhaustive generators (:func:`search_no_show_exhaustive`,
 :func:`polarization_sweep`) drive whole instance families and are what the
 ``check`` command and the test suite run.  Every search that needs only a
 decision takes it from :func:`outcome_from_counts`, on raw count tuples.
+Both consistency checks decide their partitions, given as bitmasks over the
+ballots, by popcounts, with no tally rebuilt per partition.
 :func:`search_cross_method_disagreements` compares whole orders and tie
 groups, taken from each method's sort key computed once per tally; the full
 rankers remain its test oracle.
@@ -33,8 +35,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import product
-from operator import sub
+from itertools import accumulate, product
 
 from .approval import APPROVAL_SCALE, ApprovalTally, _block_key, classify_block
 from .core import (
@@ -183,11 +184,6 @@ class PartitionCheckReport:
         return not self.violations
 
 
-def _scores(tallies: Tallies) -> list[int]:
-    """The ``mj3`` score ``s`` of each three-grade tally."""
-    return [p if p > q else -q for p, _, q in tallies]
-
-
 def _ballot_vectors(
     election: ElectionProfile, ballots: Sequence[Ballot]
 ) -> list[tuple[int, ...]]:
@@ -205,35 +201,62 @@ def _ballot_vectors(
     return vectors
 
 
-def _check_partitions(
+def _check_masks(
     election: ElectionProfile,
-    partitions: Iterable[tuple[Tallies, int]],
+    vectors: Sequence[tuple[int, ...]],
+    masks: Iterable[int],
     *,
     sampled: bool,
 ) -> PartitionCheckReport:
-    """Evaluate the consistency premise over (part1 counts, part1 size) pairs."""
+    """Evaluate the consistency premise over 2-partitions given as bitmasks.
+
+    Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
+    part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
+    candidate's positive and negative ballot bitmasks.
+    """
     ids = [c.id for c in election.candidates]
-    n = election.n_voters
-    full = [p.counts for p in election.profiles]
-    overall = outcome_from_counts("mj3", ids, full, n)
-    if overall.kind != "winner":
+    n = len(vectors)
+    everyone = (1 << n) - 1
+    signs = [
+        [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
+        for c in range(len(ids))
+    ]
+    span = 2 * n + 1  # t lies in [-n, n], so s * span + t orders (s, t) lexicographically
+
+    def keys(part: int) -> list[int]:
+        # -(s * span + t) for each candidate's mj3 pair (s, t): the key
+        # (-p, q) if p > q else (q, -p) of outcome_from_counts as one integer
+        return [
+            q - p * span if p > q else q * span - p
+            for pos, neg in signs
+            for p in ((part & pos).bit_count(),)
+            for q in ((part & neg).bit_count(),)
+        ]
+
+    overall = keys(everyone)
+    top = min(overall)
+    if overall.count(top) != 1:
         raise NoUniqueWinnerError("combined election has no unique winner")
+    winner_overall = ids[overall.index(top)]
     report = PartitionCheckReport(
         n_ballots=n,
         n_partitions_checked=0,
         n_premise_satisfied=0,
         sampled=sampled,
     )
-    for part1, size1 in partitions:
+    for mask in masks:
         report.n_partitions_checked += 1
-        first = outcome_from_counts("mj3", ids, part1, size1)
-        if first.kind != "winner":
+        keys1 = keys(mask)
+        top = min(keys1)
+        if keys1.count(top) != 1:
             continue
-        part2 = [tuple(map(sub, f, a)) for f, a in zip(full, part1)]
-        if outcome_from_counts("mj3", ids, part2, n - size1) != first:
+        w = keys1.index(top)
+        keys2 = keys(everyone ^ mask)
+        top = min(keys2)
+        if keys2[w] != top or keys2.count(top) != 1:
             continue
-        scores1, scores2 = _scores(part1), _scores(part2)
-        w = ids.index(first.winner)
+        # |t| <= n, so each key gives back its score s exactly
+        scores1, scores2 = ([-((k + n) // span) for k in ks] for ks in (keys1, keys2))
         s1, s2 = scores1[w], scores2[w]
         if not (s1 * s2 > 0 or (s1 == 0 and s2 == 0)):
             continue
@@ -242,46 +265,27 @@ def _check_partitions(
         # the union), and with it the consistency guarantee.
         if any(a * b < 0 for a, b in zip(scores1, scores2)):
             continue
+        size1 = mask.bit_count()
         report.n_premise_satisfied += 1
         report.premises.append(
             PartitionPremise(
                 part_sizes=(size1, n - size1),
-                winner=first.winner,
+                winner=ids[w],
                 scores_part1=dict(zip(ids, scores1)),
                 scores_part2=dict(zip(ids, scores2)),
             )
         )
-        if first != overall:
+        if ids[w] != winner_overall:
             report.violations.append(
                 ConsistencyViolation(
                     part_sizes=(size1, n - size1),
-                    winner_parts=first.winner,
-                    winner_overall=overall.winner,
+                    winner_parts=ids[w],
+                    winner_overall=winner_overall,
                     s_part1=s1,
                     s_part2=s2,
                 )
             )
     return report
-
-
-def _walk(
-    vectors: Sequence[tuple[int, ...]], masks: Iterable[int], n_grades: int
-) -> Iterator[tuple[list[tuple[int, ...]], int]]:
-    """Part-1 counts and size of each mask in turn (bit ``i`` set: ballot ``i``
-    is in part 1).  Each step moves only the ballots whose bits differ from
-    the previous mask: about two per step when the masks increase by one."""
-    counts = [[0] * n_grades for _ in vectors[0]]
-    prev = members = 0
-    for mask in masks:
-        flips, prev = mask ^ prev, mask
-        while flips:
-            low = flips & -flips
-            flips ^= low
-            step = 1 if mask & low else -1
-            members += step
-            for row, g in zip(counts, vectors[low.bit_length() - 1]):
-                row[g] += step
-        yield [tuple(row) for row in counts], members
 
 
 def _require_3grade(election: ElectionProfile) -> None:
@@ -301,14 +305,17 @@ def check_consistency(
 ) -> PartitionCheckReport:
     """Check weak consistency over 2-partitions of a labeled ballot list.
 
-    All unordered partitions into two non-empty parts are enumerated
-    (``2^(n-1) - 1`` of them).  Above ``limit`` ballots that blows up, so an
-    instance with more ballots raises unless ``samples`` asks for that many
-    distinct randomly drawn partitions instead (seeded by ``seed``).  When
-    ``samples`` reaches the number of partitions, all of them are checked and
-    the report is not marked sampled.
+    All unordered partitions into two non-empty parts are enumerated as the
+    bitmasks 1 to ``2^(n-1) - 1`` over the ballots (the last ballot stays in
+    part 2).  Above ``limit`` ballots that blows up, so an instance with more
+    ballots raises unless ``samples`` (at least 1) asks for that many
+    distinct randomly drawn masks instead (seeded by ``seed``).  When
+    ``samples`` reaches the number of partitions, all of them are checked
+    and the report is not marked sampled.
     """
     _require_3grade(election)
+    if samples is not None and samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
     vectors = _ballot_vectors(election, ballots)
     n = len(vectors)
     if n < 2:
@@ -331,9 +338,7 @@ def check_consistency(
             drawn.setdefault(rng.randint(1, space))
         masks = drawn
         sampled = True
-    return _check_partitions(
-        election, _walk(vectors, masks, election.scale.size), sampled=sampled
-    )
+    return _check_masks(election, vectors, masks, sampled=sampled)
 
 
 def check_consistency_splits(
@@ -344,31 +349,27 @@ def check_consistency_splits(
     Identical ballots are grouped first, and every distinct split of the
     ballot *multiset* into two non-empty parts is checked once.  Much cheaper
     than the labeled enumeration when ballots repeat, so profiles well beyond
-    the labeled limit (e.g. 21 ballots of 3 kinds) stay exhaustive.
+    the labeled limit (e.g. 21 ballots of 3 kinds) stay exhaustive.  With the
+    ballots sorted kind by kind, each split is one mask of a prefix per kind.
     """
     _require_3grade(election)
     vectors = _ballot_vectors(election, ballots)
     if len(vectors) < 2:
         raise VoteError("partition check needs at least two ballots")
     kinds = sorted(Counter(vectors).items())
-    size = election.scale.size
-    n_cands = len(election.candidates)
+    multiplicities = [m for _, m in kinds]
+    offsets = list(accumulate(multiplicities, initial=0))
 
-    def splits() -> Iterator[tuple[list[tuple[int, ...]], int]]:
-        multiplicities = [m for _, m in kinds]
+    def splits() -> Iterator[int]:
         for taken in product(*(range(m + 1) for m in multiplicities)):
             complement = tuple(m - t for m, t in zip(multiplicities, taken))
-            if sum(taken) == 0 or sum(complement) == 0:
+            # skip an empty part, and each unordered split's mirror image
+            if sum(taken) == 0 or sum(complement) == 0 or taken > complement:
                 continue
-            if taken > complement:  # each unordered split once
-                continue
-            counts = [[0] * size for _ in range(n_cands)]
-            for (vec, _), t in zip(kinds, taken):
-                for ci, gi in enumerate(vec):
-                    counts[ci][gi] += t
-            yield [tuple(c) for c in counts], sum(taken)
+            yield sum(((1 << t) - 1) << at for t, at in zip(taken, offsets))
 
-    return _check_partitions(election, splits(), sampled=False)
+    by_kind = [vec for vec, m in kinds for _ in range(m)]
+    return _check_masks(election, by_kind, splits(), sampled=False)
 
 
 def random_consistency_sweep(

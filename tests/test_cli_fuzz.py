@@ -107,15 +107,19 @@ def ballot_files(draw, config):
 tally_flags = st.sampled_from(["table", "json", "csv"]).map(
     lambda fmt: ["tally", "--format", fmt]
 )
+# sample counts, limits and sweep sizes include zero and negative values;
+# those out of range must end in exit 2
 check_flags = st.builds(
-    lambda fmt, random_n, samples, seed, probe: ["check", "--format", fmt]
+    lambda fmt, random_n, samples, limit, seed, probe: ["check", "--format", fmt]
     + (["--random", str(random_n)] if random_n else [])
-    + (["--samples", str(samples)] if samples else [])
+    + (["--samples", str(samples)] if samples is not None else [])
+    + (["--limit", str(limit)] if limit is not None else [])
     + (["--seed", str(seed)] if seed is not None else [])
     + (["--probe", probe] if probe else []),
     st.sampled_from(["text", "json"]),
-    st.integers(0, 2),
-    st.none() | st.integers(1, 20),
+    st.integers(-2, 2),
+    st.none() | st.integers(-5, 20),
+    st.none() | st.none() | st.integers(-3, 9),
     st.none() | st.none() | st.integers(0, 5),
     st.none() | st.sampled_from(VOTERS[:4]),
 )
@@ -129,11 +133,14 @@ def _run(config, ballots, argv):
         config_path.write_text(json.dumps(config), encoding="utf-8")
         ballots_path.write_text(ballots, encoding="utf-8")
         argv = [*argv, "--config", str(config_path), "--ballots", str(ballots_path)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    # a consistency report that ran covers at least one partition
+    assert "consistency: 0 partitions" not in out.getvalue()
+    assert '"n_partitions_checked": 0,' not in out.getvalue()
     if rc == 2:
         assert err.getvalue().splitlines()[-1].startswith("error: ")
 

@@ -642,6 +642,25 @@ def test_cli_check_refuses_a_limit_that_is_not_an_integer(tmp_path, capsys, limi
     assert err == f"error: 'options.limit' must be an integer, got {json.loads(limit)!r}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "-5"], "--samples must be at least 1, got -5"),
+    (["--samples", "0"], "--samples must be at least 1, got 0"),
+    (["--limit", "-3"], "--limit must be at least 2, got -3"),
+    (["--limit", "1"], "--limit must be at least 2, got 1"),
+    (["--random", "-3"], "--random must be at least 0, got -3"),
+])
+def test_cli_check_refuses_flag_values_out_of_range(tmp_path, capsys, flags, message):
+    # before, "--samples -5" reported "0 partitions ... [sampled]" and
+    # "result: ok", "--random -3" reported "-3 instances", and "--limit -3"
+    # got round the config's limit >= 2 rule
+    ballots = _nine_ballot_mj3(tmp_path)
+    capsys.readouterr()
+    assert main(["check", "--method", "mj3", "--ballots", ballots, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("seed", ["[1]", '{"x": 1}', '"7"', "2.5", "false"])
 @pytest.mark.parametrize("flags", [["--random", "2"], ["--samples", "20"]])
 def test_cli_check_refuses_a_seed_that_is_not_an_integer(tmp_path, capsys, seed, flags):

@@ -1,6 +1,7 @@
 """Score pairs and ratio scores on the three-grade scale."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from gradevote import (
 )
 from gradevote.fixtures import SCHOOL_SCALE, school_outing_3grade
 from gradevote.mj3 import MJ3_SCALE_LABELS
+from gradevote.results import RankedEntry, RankedResult, competition_ranks
 
 SCALE3 = GradeScale(MJ3_SCALE_LABELS)
 
@@ -122,6 +124,50 @@ def test_school_three_grade_ranking():
     assert (result.entries[1].score, result.entries[1].tiebreak) == (-10, 1)
     assert not result.tie_groups
     assert result.winner == "high-ropes"
+
+
+def _mj3_rank_reference(election):
+    """``mj3_rank`` as it ran through one ``Tally3`` and ``ScorePair`` per
+    candidate: the reference for the counts-only pairs."""
+    pairs = [score3(Tally3.from_profile(p)) for p in election.profiles]
+    order = sorted(
+        range(len(election.candidates)),
+        key=lambda i: (-pairs[i].s, -pairs[i].t),
+    )
+    ranks, groups = competition_ranks([(pairs[i].s, pairs[i].t) for i in order])
+    entries = tuple(
+        RankedEntry(
+            rank=ranks[pos],
+            candidate=election.candidates[i].id,
+            name=election.candidates[i].name,
+            counts=election.profiles[i].counts,
+            score=pairs[i].s,
+            tiebreak=pairs[i].t,
+        )
+        for pos, i in enumerate(order)
+    )
+    tie_groups = tuple(
+        tuple(election.candidates[order[pos]].id for pos in group)
+        for group in groups
+    )
+    return RankedResult(
+        method="mj3",
+        scale=election.scale,
+        n_voters=election.n_voters,
+        entries=entries,
+        tie_groups=tie_groups,
+    )
+
+
+@pytest.mark.parametrize("n_cands, max_voters", [(1, 6), (2, 4), (3, 3)])
+def test_rank_matches_the_score_pair_reference_exhaustively(n_cands, max_voters):
+    candidates = [Candidate(f"c{i + 1}", name=f"C{i + 1}") for i in range(n_cands)]
+    for n in range(1, max_voters + 1):
+        tallies = [(p, z, n - p - z) for p in range(n + 1) for z in range(n + 1 - p)]
+        for combo in product(tallies, repeat=n_cands):
+            counts = {c.id: t for c, t in zip(candidates, combo)}
+            election = election_from_counts(SCALE3, candidates, counts)
+            assert mj3_rank(election) == _mj3_rank_reference(election), combo
 
 
 def test_rank_requires_three_grade_scale():

@@ -1,8 +1,11 @@
 """Brute-force property harness: consistency, participation, polarization."""
 
 import random
-from functools import cache
-from itertools import product
+from collections import Counter
+from collections.abc import Iterable, Iterator
+from functools import cache, partial
+from itertools import combinations_with_replacement, product
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +42,8 @@ from gradevote.mj3 import MJ3_SCALE_LABELS
 from gradevote.properties import (
     ConsistencyViolation,
     CrossMethodReport,
+    NoUniqueWinnerError,
+    PartitionCheckReport,
     PartitionPremise,
     _cross_method_keys,
     _ranking,
@@ -232,14 +237,22 @@ def test_sampled_partitions_are_distinct():
     assert sorted(repr(p) for p in report.premises) == every_premise
 
 
-def _reference_premises(election, ballots, masks):
-    """Premises and violations with every part recounted from its ballots and
-    ranked by ``mj3_rank``, the reference for the incremental partition walk."""
+def _labeled_parts(ballots, masks):
+    """Both parts of each mask: bit ``i`` set puts ballot ``i`` in part 1."""
+    for mask in masks:
+        yield (
+            [b for i, b in enumerate(ballots) if mask >> i & 1],
+            [b for i, b in enumerate(ballots) if not mask >> i & 1],
+        )
+
+
+def _reference_premises(election, parts):
+    """Premises and violations with both parts of every partition recounted
+    from their ballots and ranked by ``mj3_rank``: the reference for the
+    bitmask kernel."""
     overall = mj3_rank(election).winner
     premises, violations = [], []
-    for mask in masks:
-        part1 = [b for i, b in enumerate(ballots) if mask >> i & 1]
-        part2 = [b for i, b in enumerate(ballots) if not mask >> i & 1]
+    for part1, part2 in parts:
         ranked = [mj3_rank(build_profiles(SCALE3, election.candidates, part))
                   for part in (part1, part2)]
         winner = ranked[0].winner
@@ -285,13 +298,251 @@ def test_partition_walk_matches_a_recount_of_every_part():
         else:
             report = check_consistency(election, ballots, limit=n)
             masks = range(1, space + 1)
-        premises, violations = _reference_premises(election, ballots, masks)
+        premises, violations = _reference_premises(
+            election, _labeled_parts(ballots, masks)
+        )
         assert report.sampled is sampled
         assert report.n_partitions_checked == len(masks)
         assert report.n_premise_satisfied == len(premises)
         assert report.premises == premises
         assert report.violations == violations
         checked[sampled] += 1
+
+
+def _split_parts(election, ballots):
+    """Both parts of every multiset split, in the order of
+    ``check_consistency_splits``: identical ballots grouped into kinds sorted
+    by grade positions, and the number taken of each kind in ``product``
+    order, each unordered split once."""
+    kinds: dict[tuple, list] = {}
+    for ballot in ballots:
+        kind = tuple(SCALE3.index(ballot.grades[c.id]) for c in election.candidates)
+        kinds.setdefault(kind, []).append(ballot)
+    groups = [kinds[kind] for kind in sorted(kinds)]
+    sizes = tuple(len(group) for group in groups)
+    for taken in product(*(range(m + 1) for m in sizes)):
+        rest = tuple(m - t for m, t in zip(sizes, taken))
+        if 0 in (sum(taken), sum(rest)) or taken > rest:
+            continue
+        yield (
+            [b for group, t in zip(groups, taken) for b in group[:t]],
+            [b for group, t in zip(groups, taken) for b in group[t:]],
+        )
+
+
+def test_split_check_matches_a_recount_of_every_part():
+    rng = random.Random(1618)
+    hits = 0
+    for _ in range(30):
+        candidates = [Candidate(f"c{i + 1}") for i in range(rng.randint(1, 3))]
+        kinds = [
+            {c.id: rng.choice(MJ3_SCALE_LABELS) for c in candidates}
+            for _ in range(rng.randint(1, 4))
+        ]
+        grades = [kind for kind in kinds for _ in range(rng.randint(1, 5))]
+        rng.shuffle(grades)
+        election, ballots = _election(grades, candidates=candidates)
+        if len(ballots) < 2 or mj3_rank(election).winner is None:
+            continue
+        report = check_consistency_splits(election, ballots)
+        parts = list(_split_parts(election, ballots))
+        premises, violations = _reference_premises(election, parts)
+        assert report.n_partitions_checked == len(parts)
+        assert report.premises == premises
+        assert report.violations == violations
+        hits += len(premises)
+    assert hits > 100
+
+
+# The consistency check as it ran before the bitmask kernel: every part's
+# tallies rebuilt (incrementally for labeled masks, from scratch for multiset
+# splits) and decided by outcome_from_counts.  Kept verbatim as the reference.
+
+def _scores(tallies):
+    """The ``mj3`` score ``s`` of each three-grade tally."""
+    return [p if p > q else -q for p, _, q in tallies]
+
+
+def _check_partitions(
+    election,
+    partitions,
+    *,
+    sampled: bool,
+) -> PartitionCheckReport:
+    """Evaluate the consistency premise over (part1 counts, part1 size) pairs."""
+    ids = [c.id for c in election.candidates]
+    n = election.n_voters
+    full = [p.counts for p in election.profiles]
+    overall = outcome_from_counts("mj3", ids, full, n)
+    if overall.kind != "winner":
+        raise NoUniqueWinnerError("combined election has no unique winner")
+    report = PartitionCheckReport(
+        n_ballots=n,
+        n_partitions_checked=0,
+        n_premise_satisfied=0,
+        sampled=sampled,
+    )
+    for part1, size1 in partitions:
+        report.n_partitions_checked += 1
+        first = outcome_from_counts("mj3", ids, part1, size1)
+        if first.kind != "winner":
+            continue
+        part2 = [tuple(map(sub, f, a)) for f, a in zip(full, part1)]
+        if outcome_from_counts("mj3", ids, part2, n - size1) != first:
+            continue
+        scores1, scores2 = _scores(part1), _scores(part2)
+        w = ids.index(first.winner)
+        s1, s2 = scores1[w], scores2[w]
+        if not (s1 * s2 > 0 or (s1 == 0 and s2 == 0)):
+            continue
+        # A strict sign switch for *any* candidate breaks score additivity
+        # across the parts (positives cancelled inside one part reappear in
+        # the union), and with it the consistency guarantee.
+        if any(a * b < 0 for a, b in zip(scores1, scores2)):
+            continue
+        report.n_premise_satisfied += 1
+        report.premises.append(
+            PartitionPremise(
+                part_sizes=(size1, n - size1),
+                winner=first.winner,
+                scores_part1=dict(zip(ids, scores1)),
+                scores_part2=dict(zip(ids, scores2)),
+            )
+        )
+        if first != overall:
+            report.violations.append(
+                ConsistencyViolation(
+                    part_sizes=(size1, n - size1),
+                    winner_parts=first.winner,
+                    winner_overall=overall.winner,
+                    s_part1=s1,
+                    s_part2=s2,
+                )
+            )
+    return report
+
+
+def _walk(
+    vectors, masks: Iterable[int], n_grades: int
+) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+    """Part-1 counts and size of each mask in turn (bit ``i`` set: ballot ``i``
+    is in part 1).  Each step moves only the ballots whose bits differ from
+    the previous mask: about two per step when the masks increase by one."""
+    counts = [[0] * n_grades for _ in vectors[0]]
+    prev = members = 0
+    for mask in masks:
+        flips, prev = mask ^ prev, mask
+        while flips:
+            low = flips & -flips
+            flips ^= low
+            step = 1 if mask & low else -1
+            members += step
+            for row, g in zip(counts, vectors[low.bit_length() - 1]):
+                row[g] += step
+        yield [tuple(row) for row in counts], members
+
+
+def _splits(election, vectors) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+    kinds = sorted(Counter(vectors).items())
+    size = election.scale.size
+    n_cands = len(election.candidates)
+    multiplicities = [m for _, m in kinds]
+    for taken in product(*(range(m + 1) for m in multiplicities)):
+        complement = tuple(m - t for m, t in zip(multiplicities, taken))
+        if sum(taken) == 0 or sum(complement) == 0:
+            continue
+        if taken > complement:  # each unordered split once
+            continue
+        counts = [[0] * size for _ in range(n_cands)]
+        for (vec, _), t in zip(kinds, taken):
+            for ci, gi in enumerate(vec):
+                counts[ci][gi] += t
+        yield [tuple(c) for c in counts], sum(taken)
+
+
+def _consistency_reference(election, vectors, masks=None, *, sampled=False):
+    """The report of the labeled check over ``masks``, or of the multiset
+    split check when ``masks`` is None, from rebuilt tallies of the ballots'
+    grade positions ``vectors``; a tied top is reported as a string."""
+    if masks is None:
+        partitions = _splits(election, vectors)
+    else:
+        partitions = _walk(vectors, masks, election.scale.size)
+    try:
+        return _check_partitions(election, partitions, sampled=sampled)
+    except NoUniqueWinnerError:
+        return "no unique winner"
+
+
+def _assert_kernel_matches_reference(vectors, candidates, masks, **kwargs):
+    """Both checks on the ballots with grade positions ``vectors`` report
+    what the reference reports.  Returns the labeled report."""
+    election, ballots = _election(
+        [{c.id: MJ3_SCALE_LABELS[g] for c, g in zip(candidates, vector)}
+         for vector in vectors],
+        candidates=candidates,
+    )
+    reports = []
+    for check in (partial(check_consistency, **kwargs), check_consistency_splits):
+        try:
+            reports.append(check(election, ballots))
+        except NoUniqueWinnerError:
+            reports.append("no unique winner")
+    labeled, splits = reports
+    assert labeled == _consistency_reference(
+        election, vectors, masks, sampled=kwargs.get("samples") is not None
+    )
+    assert splits == _consistency_reference(election, vectors)
+    return labeled
+
+
+@pytest.mark.parametrize("n_cands, max_voters", [(1, 5), (2, 5), (3, 3)])
+def test_consistency_kernel_matches_the_reference_on_every_multiset(
+    n_cands, max_voters
+):
+    candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
+    kinds = list(product(range(3), repeat=n_cands))
+    seen = Counter()
+    for n in range(2, max_voters + 1):
+        masks = range(1, 2 ** (n - 1))
+        for vectors in combinations_with_replacement(kinds, n):
+            labeled = _assert_kernel_matches_reference(
+                list(vectors), candidates, masks, limit=n
+            )
+            seen["tied top" if labeled == "no unique winner" else "premise"
+                 if labeled.premises else "no premise"] += 1
+    # one candidate always has a unique top
+    assert len(seen) == (2 if n_cands == 1 else 3)
+
+
+def test_consistency_kernel_matches_the_reference_on_seeded_elections():
+    rng = random.Random(3141)
+    seen = Counter()
+    while min(seen[sampled] for sampled in (False, True)) < 10:
+        n = rng.randint(2, 12)
+        candidates = [Candidate(f"c{i + 1}") for i in range(rng.randint(1, 5))]
+        vectors = [tuple(rng.randrange(3) for _ in candidates) for _ in range(n)]
+        space = 2 ** (n - 1) - 1
+        sampled = n > 3 and rng.random() < 0.5
+        if sampled:
+            samples, seed = rng.randint(1, space - 1), rng.randint(0, 99)
+            kwargs = {"limit": n - 1, "samples": samples, "seed": seed}
+            draw, masks = random.Random(seed), {}
+            while len(masks) < samples:
+                masks.setdefault(draw.randint(1, space))
+        else:
+            kwargs, masks = {"limit": n}, range(1, space + 1)
+        labeled = _assert_kernel_matches_reference(vectors, candidates, masks, **kwargs)
+        if labeled != "no unique winner":
+            seen[sampled] += 1
+
+
+def test_sample_count_must_be_positive():
+    fx = school_outing_3grade()
+    election = build_profiles(fx.scale, fx.candidates, fx.ballots)
+    for samples in (0, -5):
+        with pytest.raises(ConfigError, match="samples must be at least 1"):
+            check_consistency(election, fx.ballots, samples=samples)
 
 
 def test_check_requires_unique_combined_winner():

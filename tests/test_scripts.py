@@ -18,6 +18,10 @@ def _script_main(name):
 def test_property_sweeps_script_runs_clean(capsys):
     assert _script_main("run_property_sweeps.py")(["--instances", "20"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(
+        "consistency: 20 random instances, 1094 partitions, "
+        "268 matched the premise: ok"
+    )
     assert any(
         line.startswith("method agreement: 5022 elections: ok") for line in lines
     )
