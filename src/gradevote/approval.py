@@ -25,11 +25,10 @@ The final order puts the whole STRONG_MAJORITY block first, sorted by
 results.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import ConfigError, ElectionProfile, GradeProfile, GradeScale, VoteError
-from .results import Block, RankedEntry, RankedResult, competition_ranks
+from .results import Block, RankedResult, Tallies, ranked
 
 #: Canonical grade labels for this procedure, best first.
 APPROVAL_SCALE = GradeScale(("strong", "weak", "none"))
@@ -71,17 +70,19 @@ def classify_block(tally: ApprovalTally) -> Block:
     return Block.UNELECTABLE
 
 
-def _block_key(counts: Sequence[int]) -> tuple[int, int, int]:
-    """Ascending sort key of one ``(strong, weak, none)`` tally.
+def approval_keys(tallies: Tallies, n_voters: int) -> list[tuple[int, int, int]]:
+    """Ascending sort keys of ``(strong, weak, none)`` tallies.
 
     The STRONG_MAJORITY block comes first, by ``a_strong`` then ``a_any``;
     everyone else follows by ``a_any`` then ``a_strong``.  Two keys are equal
     exactly when the tallies are (within one electorate).
     """
-    strong, weak, none = counts
-    if strong > none:
-        return (0, -strong, -strong - weak)
-    return (1, -strong - weak, -strong)
+    return [(0, -s, -s - w) if s > none else (1, -s - w, -s) for s, w, none in tallies]
+
+
+def approval_rejected(tallies: Tallies, n_voters: int) -> bool:
+    """Whether no candidate is approved by a strict majority of ``n_voters``."""
+    return not any(2 * (strong + weak) > n_voters for strong, weak, _ in tallies)
 
 
 def approval_rank(election: ElectionProfile) -> RankedResult:
@@ -94,37 +95,10 @@ def approval_rank(election: ElectionProfile) -> RankedResult:
             f"approval ranking needs the {APPROVAL_SCALE.labels!r} scale, "
             f"got {election.scale.labels!r}"
         )
-    if election.n_voters == 0:
-        raise VoteError("cannot rank an election without ballots")
-    tallies = [ApprovalTally.from_profile(p) for p in election.profiles]
-    blocks = [classify_block(t) for t in tallies]
-    keys = [_block_key(p.counts) for p in election.profiles]
-    order = sorted(range(len(election.candidates)), key=keys.__getitem__)
-    ranks, groups = competition_ranks(
-        [(tallies[i].a_strong, tallies[i].a_weak) for i in order]
-    )
-    entries = tuple(
-        RankedEntry(
-            rank=ranks[pos],
-            candidate=election.candidates[i].id,
-            name=election.candidates[i].name,
-            counts=election.profiles[i].counts,
-            block=blocks[i],
-        )
-        for pos, i in enumerate(order)
-    )
-    tie_groups = tuple(
-        tuple(election.candidates[order[pos]].id for pos in group)
-        for group in groups
-    )
-    rejected = not any(2 * t.a_any > t.n_total for t in tallies)
-    return RankedResult(
-        method="approval3",
-        scale=election.scale,
-        n_voters=election.n_voters,
-        entries=entries,
-        tie_groups=tie_groups,
-        rejected=rejected,
+    return ranked(
+        election, "approval3", approval_keys,
+        lambda key, counts: {"block": classify_block(ApprovalTally(*counts))},
+        approval_rejected,
     )
 
 

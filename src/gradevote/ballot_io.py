@@ -41,7 +41,7 @@ from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
-from .approval import APPROVAL_SCALE, borderline_candidates
+from .approval import borderline_candidates
 from .bracket import BracketBallot, BracketResult, bracket_tree
 from .core import (
     Ballot,
@@ -53,10 +53,10 @@ from .core import (
     ValidationError,
     build_profiles,
 )
-from .mj3 import MJ3_SCALE_LABELS
+from .methods import RANKERS, method_scale
 from .results import Block, RankedEntry, RankedResult
 
-METHODS = ("mj", "mj3", "approval3", "bracket")
+METHODS = (*RANKERS, "bracket")
 
 BALLOT_CSV_HEADER = ("voter_id", "candidate", "grade")
 
@@ -82,27 +82,11 @@ class ElectionConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        object.__setattr__(self, "scale", _resolve_scale(self.method, self.scale))
+        # a bracket election has no scale: grades play no role in it
+        scale = method_scale(self.method, self.scale) if self.method in RANKERS else None
+        object.__setattr__(self, "scale", scale)
         if self.limit < 2:
             raise ConfigError("exhaustive limit must be at least 2")
-
-
-def _resolve_scale(method: str, scale: GradeScale | None) -> GradeScale | None:
-    if method == "bracket":
-        return None  # grades play no role
-    if method == "approval3":
-        if scale is not None and scale != APPROVAL_SCALE:
-            raise ConfigError(
-                f"method approval3 uses the fixed scale {APPROVAL_SCALE.labels!r}"
-            )
-        return APPROVAL_SCALE
-    if method == "mj3":
-        if scale is None:
-            return GradeScale(MJ3_SCALE_LABELS)
-        if scale.size != 3:
-            raise ConfigError("method mj3 needs a 3-grade scale")
-        return scale
-    return scale if scale is not None else GradeScale(MJ3_SCALE_LABELS)
 
 
 def load_config(source: "str | Path | io.TextIOBase") -> ElectionConfig:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .approval import approval_rank, borderline_candidates
 from .ballot_io import (
+    METHODS,
     ElectionConfig,
     ParseReport,
     REJECTED_BANNER,
@@ -108,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="election config JSON")
     sub.add_argument(
-        "--method", choices=tuple(RANKERS) + ("bracket",),
+        "--method", choices=METHODS,
         help="tallying method (overrides the config's)",
     )
     sub.add_argument("--ballots", help="ballot file (CSV or JSON, or '-' for stdin)")
@@ -218,7 +219,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if config.method == "bracket":
         raise ConfigError(
-            "the property harness covers grade methods (mj, mj3, approval3)"
+            f"the property harness covers grade methods ({', '.join(RANKERS)})"
         )
     for flag, least in (("limit", 2), ("samples", 1), ("random", 0)):
         value = getattr(args, flag)

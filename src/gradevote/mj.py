@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import ElectionProfile, GradeProfile, GradeScale, VoteError
-from .results import RankedEntry, RankedResult, competition_ranks
+from .results import RankedResult, ranked
 
 
 @dataclass(frozen=True)
@@ -161,29 +161,8 @@ def mj_rank(election: ElectionProfile) -> RankedResult:
     Sorts by the majority gauge, refined by the exact removal key where
     gauges collide, so the cost does not grow with the number of voters.
     """
-    if election.n_voters == 0:
-        raise VoteError("cannot rank an election without ballots")
-    keys = _rank_keys([p.counts for p in election.profiles], election.n_voters)
-    order = sorted(range(len(election.candidates)), key=keys.__getitem__)
-    ranks, groups = competition_ranks([keys[i] for i in order])
-    entries = tuple(
-        RankedEntry(
-            rank=ranks[pos],
-            candidate=election.candidates[i].id,
-            name=election.candidates[i].name,
-            counts=election.profiles[i].counts,
-            majority_grade=election.scale.labels[keys[i][0]],
-        )
-        for pos, i in enumerate(order)
-    )
-    tie_groups = tuple(
-        tuple(election.candidates[order[pos]].id for pos in group)
-        for group in groups
-    )
-    return RankedResult(
-        method="mj",
-        scale=election.scale,
-        n_voters=election.n_voters,
-        entries=entries,
-        tie_groups=tie_groups,
+    labels = election.scale.labels
+    return ranked(
+        election, "mj", _rank_keys,
+        lambda key, counts: {"majority_grade": labels[key[0]]},
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ConfigError, ElectionProfile, GradeProfile, GradeScale, VoteError
-from .results import RankedEntry, RankedResult, competition_ranks
+from .results import RankedResult, Tallies, ranked
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,12 @@ def alt_scores(tally: Tally3) -> AltScores:
     )
 
 
+def mj3_keys(tallies: Tallies, n_voters: int) -> list[tuple[int, int]]:
+    """The ``(s, t)`` pair of :func:`score3` of every tally, negated, so that
+    the smallest key is the best; straight from the counts."""
+    return [(-p, q) if p > q else (q, -p) for p, _, q in tallies]
+
+
 def mj3_rank(election: ElectionProfile) -> RankedResult:
     """Rank a three-grade election by (score, tie-break), best first.
 
@@ -105,33 +111,7 @@ def mj3_rank(election: ElectionProfile) -> RankedResult:
         raise ConfigError(
             f"three-grade ranking needs a 3-grade scale, got {election.scale.size} grades"
         )
-    if election.n_voters == 0:
-        raise VoteError("cannot rank an election without ballots")
-    # the (s, t) pair of score3, straight from the counts; a reversed sort
-    # stays stable, so equal pairs keep registration order
-    pairs = [(p, -q) if p > q else (-q, p)
-             for p, _, q in (prof.counts for prof in election.profiles)]
-    order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
-    ranks, groups = competition_ranks([pairs[i] for i in order])
-    entries = tuple(
-        RankedEntry(
-            rank=ranks[pos],
-            candidate=election.candidates[i].id,
-            name=election.candidates[i].name,
-            counts=election.profiles[i].counts,
-            score=pairs[i][0],
-            tiebreak=pairs[i][1],
-        )
-        for pos, i in enumerate(order)
-    )
-    tie_groups = tuple(
-        tuple(election.candidates[order[pos]].id for pos in group)
-        for group in groups
-    )
-    return RankedResult(
-        method="mj3",
-        scale=election.scale,
-        n_voters=election.n_voters,
-        entries=entries,
-        tie_groups=tie_groups,
+    return ranked(
+        election, "mj3", mj3_keys,
+        lambda key, counts: {"score": -key[0], "tiebreak": -key[1]},
     )

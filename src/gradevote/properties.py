@@ -37,62 +37,32 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 
-from .approval import APPROVAL_SCALE, ApprovalTally, _block_key, classify_block
+from .approval import ApprovalTally, classify_block
 from .core import (
     Ballot,
     Candidate,
     ConfigError,
     ElectionProfile,
-    GradeScale,
     ValidationError,
     VoteError,
     build_profiles,
 )
-from .mj import _gauge, _rank_keys, _removal_key
-from .mj3 import MJ3_SCALE
-from .results import Block, RankedResult, competition_ranks
-
-#: Per-candidate counts, best grade first, in registration order.
-Tallies = Sequence[Sequence[int]]
+from .methods import KEYS, method_scale, resolve_method
+from .mj import _gauge, _removal_key
+from .mj3 import MJ3_SCALE, mj3_keys
+from .results import (  # Outcome and outcome_of are re-exported from here too
+    Block,
+    Outcome,
+    Tallies,
+    competition_ranks,
+    outcome_of,
+    require_rankable,
+)
 
 
 # --------------------------------------------------------------------------
 # outcome plumbing shared by all searches
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Outcome:
-    """The decision of one tally: a unique winner, a rank-1 tie, or rejection."""
-
-    kind: str  # "winner" | "tie" | "rejected"
-    winner: str | None = None
-    tied: tuple[str, ...] = ()
-
-
-def _method(method: str, scale: GradeScale) -> str:
-    """Resolve ``auto`` and refuse a scale the method's ranker would refuse."""
-    if method == "auto":
-        method = "mj3" if scale.size == 3 and scale != APPROVAL_SCALE else (
-            "approval3" if scale == APPROVAL_SCALE else "mj"
-        )
-    if method not in ("mj", "mj3", "approval3"):
-        raise ConfigError(f"unknown ranking method {method!r}")
-    if (method == "mj3" and scale.size != 3
-            or method == "approval3" and scale != APPROVAL_SCALE):
-        raise ConfigError(f"method {method} cannot rank the scale {scale.labels!r}")
-    return method
-
-
-def outcome_of(result: RankedResult) -> Outcome:
-    """Collapse a ranking into its decision."""
-    if result.rejected:
-        return Outcome("rejected")
-    top = result.entries[0].candidate
-    for group in result.tie_groups:
-        if top in group:
-            return Outcome("tie", tied=group)
-    return Outcome("winner", winner=top)
-
 
 def outcome_from_counts(
     method: str, ids: Sequence[str], tallies: Tallies, n_voters: int
@@ -100,20 +70,18 @@ def outcome_from_counts(
     """The decision of ``method`` (``mj3``, ``mj`` or ``approval3``) on raw counts.
 
     Equal to ``outcome_of(ranker(election_from_counts(...)))`` without the
-    profile or the ranking: each key below sorts as the ranker sorts and is
-    equal exactly for the candidates it ties, and ``tied`` lists the
+    profile or the ranking: it applies the ranker's own rejection rule and
+    key function from :data:`gradevote.methods.KEYS`, and ``tied`` lists the
     candidates of the top key in registration order.  ``tallies`` must each
     sum to ``n_voters`` > 0; that is not checked here.
     """
-    if method == "mj3":
-        # the (s, t) pair, negated: s, t = p, -q if p > q else -q, p
-        keys = [(-p, q) if p > q else (q, -p) for p, _, q in tallies]
-    elif method == "mj":
-        keys = _rank_keys(tallies, n_voters)
-    elif not any(2 * (strong + weak) > n_voters for strong, weak, _ in tallies):
+    try:
+        keys_fn, rejects = KEYS[method]
+    except KeyError:
+        raise ConfigError(f"unknown ranking method {method!r}") from None
+    if rejects is not None and rejects(tallies, n_voters):
         return Outcome("rejected")
-    else:
-        keys = [_block_key(counts) for counts in tallies]
+    keys = keys_fn(tallies, n_voters)
     top = min(keys)
     if keys.count(top) == 1:
         return Outcome("winner", winner=ids[keys.index(top)])
@@ -214,6 +182,7 @@ def _check_masks(
     part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
     candidate's positive and negative ballot bitmasks.
     """
+    require_rankable(election)
     ids = [c.id for c in election.candidates]
     n = len(vectors)
     everyone = (1 << n) - 1
@@ -225,7 +194,7 @@ def _check_masks(
 
     def keys(part: int) -> list[int]:
         # -(s * span + t) for each candidate's mj3 pair (s, t): the key
-        # (-p, q) if p > q else (q, -p) of outcome_from_counts as one integer
+        # (-p, q) if p > q else (q, -p) of mj3_keys as one integer
         return [
             q - p * span if p > q else q * span - p
             for pos, neg in signs
@@ -288,13 +257,6 @@ def _check_masks(
     return report
 
 
-def _require_3grade(election: ElectionProfile) -> None:
-    if election.scale.size != 3:
-        raise ConfigError(
-            f"consistency check needs a 3-grade scale, got {election.scale.size} grades"
-        )
-
-
 def check_consistency(
     election: ElectionProfile,
     ballots: Sequence[Ballot],
@@ -313,7 +275,7 @@ def check_consistency(
     ``samples`` reaches the number of partitions, all of them are checked
     and the report is not marked sampled.
     """
-    _require_3grade(election)
+    method_scale("mj3", election.scale)  # partitions are decided by the mj3 key
     if samples is not None and samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     vectors = _ballot_vectors(election, ballots)
@@ -352,7 +314,7 @@ def check_consistency_splits(
     the labeled limit (e.g. 21 ballots of 3 kinds) stay exhaustive.  With the
     ballots sorted kind by kind, each split is one mask of a prefix per kind.
     """
-    _require_3grade(election)
+    method_scale("mj3", election.scale)  # partitions are decided by the mj3 key
     vectors = _ballot_vectors(election, ballots)
     if len(vectors) < 2:
         raise VoteError("partition check needs at least two ballots")
@@ -480,15 +442,14 @@ def search_no_show(
     Every outcome is decided from counts (:func:`outcome_from_counts`).
     """
     scale = election.scale
-    method = _method(method, scale)
+    method = resolve_method(method, scale)
     ids = [c.id for c in election.candidates]
     n_vectors = scale.size ** len(ids)
     if n_vectors > max_additions:
         raise VoteError(
             f"{n_vectors} candidate grade vectors exceed the addition-search cap"
         )
-    if election.n_voters == 0:
-        raise VoteError("cannot rank an election without ballots")
+    require_rankable(election)
     base = [p.counts for p in election.profiles]
     before = outcome_from_counts(method, ids, base, election.n_voters)
     found = _additions(method, ids, scale.labels, base, election.n_voters, before)
@@ -550,11 +511,10 @@ def search_no_show_exhaustive(
 
     Every pair of per-candidate tallies with 1..max_voters ballots is
     combined with every one of the 9 possible extra ballots.  ``method`` picks
-    the winner rule (``mj3``, ``mj``, or ``approval3``); all of them must come
-    back clean on three grades.
+    the winner rule (``mj3``, ``mj``, or ``approval3``), on its default scale;
+    all of them must come back clean on three grades.
     """
-    scale = APPROVAL_SCALE if method == "approval3" else MJ3_SCALE
-    method = _method(method, scale)
+    scale = method_scale(method, None)
     ids = ("a", "b")
     report = NoShowSweepReport(n_instances=0, n_additions_checked=0)
     for n in range(1, max_voters + 1):
@@ -600,8 +560,7 @@ def _cross_method_keys(n: int) -> tuple[list[tuple[int, ...]], list, list]:
     tallies = list(_compositions(n, 3))
     return (
         tallies,
-        # the (s, t) pair, negated, as in outcome_from_counts
-        [(-p, q) if p > q else (q, -p) for p, _, q in tallies],
+        mj3_keys(tallies, n),
         [_gauge(counts, n) + _removal_key(counts, n) for counts in tallies],
     )
 
@@ -740,12 +699,13 @@ def manipulation_probe(
     skipped, not scored.
     """
     scale = election.scale
-    method = _method(method, scale)
+    method = resolve_method(method, scale)
     ids = [c.id for c in election.candidates]
     honest = next((b for b in ballots if b.voter_id == voter_id), None)
     if honest is None:
         raise ValidationError(f"unknown voter_id {voter_id!r}")
     _ballot_vectors(election, ballots)  # integrity check
+    require_rankable(election)
     honest_vector = tuple(honest.grade_index(cid, scale) for cid in ids)
     full = [p.counts for p in election.profiles]
     honest_outcome = outcome_from_counts(method, ids, full, election.n_voters)

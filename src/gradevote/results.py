@@ -1,4 +1,4 @@
-"""Shared ranking result model.
+"""Shared ranking result model and the one ranking builder.
 
 Every grade-based method (majority judgement, the three-grade score form, the
 strong/weak approval procedure) returns a :class:`RankedResult`: candidates in
@@ -6,13 +6,22 @@ final order with competition-style ranks, raw per-grade counts, and explicit
 tie groups.  Ties are never silently broken — candidates with fully identical
 grade profiles share a rank and are reported as a tie group in registration
 order.
+
+:func:`ranked` builds every one from a method's key function (one key per
+tally, smaller is better, equal exactly for equal tallies), sorting stably so
+that equal keys keep registration order; ranks and tie groups are the runs of
+equal keys.  ``gradevote.methods.KEYS`` holds the same key functions, so the
+harness can decide outcomes from keys alone.
 """
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import GradeScale
+from .core import ElectionProfile, GradeScale, VoteError
+
+#: Per-candidate counts, best grade first, in registration order.
+Tallies = Sequence[Sequence[int]]
 
 
 class Block(Enum):
@@ -68,13 +77,61 @@ class RankedResult:
     @property
     def winner(self) -> str | None:
         """The unique rank-1 candidate, or None if rejected or tied at the top."""
-        if self.rejected or not self.entries:
-            return None
-        top = self.entries[0].candidate
-        for group in self.tie_groups:
-            if top in group:
-                return None
-        return top
+        return outcome_of(self).winner
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """The decision of one tally: a unique winner, a rank-1 tie, or rejection."""
+
+    kind: str  # "winner" | "tie" | "rejected"
+    winner: str | None = None
+    tied: tuple[str, ...] = ()
+
+
+def outcome_of(result: RankedResult) -> Outcome:
+    """Collapse a ranking into its decision."""
+    if result.rejected:
+        return Outcome("rejected")
+    top = result.entries[0].candidate
+    for group in result.tie_groups:
+        if top in group:
+            return Outcome("tie", tied=group)
+    return Outcome("winner", winner=top)
+
+
+def require_rankable(election: ElectionProfile) -> None:
+    """Refuse an election no method can decide: no ballots, or no candidates."""
+    if election.n_voters == 0:
+        raise VoteError("cannot rank an election without ballots")
+    if not election.candidates:
+        raise VoteError("cannot rank an election without candidates")
+
+
+def ranked(
+    election: ElectionProfile, method: str, keys_fn: Callable[[Tallies, int], list],
+    fields: Callable[[object, tuple[int, ...]], dict],
+    rejects: Callable[[Tallies, int], bool] | None = None,
+) -> RankedResult:
+    """Rank ``election`` by ``keys_fn(tallies, n_voters)``, smallest key first.
+    ``fields(key, counts)`` gives an entry's method-specific fields, and
+    ``rejects(tallies, n_voters)``, if given, whether the result is rejected."""
+    require_rankable(election)
+    tallies = [p.counts for p in election.profiles]
+    keys = keys_fn(tallies, election.n_voters)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks, groups = competition_ranks([keys[i] for i in order])
+    cands = election.candidates
+    entries = tuple(
+        RankedEntry(ranks[pos], cands[i].id, cands[i].name, tallies[i],
+                    **fields(keys[i], tallies[i]))
+        for pos, i in enumerate(order)
+    )
+    return RankedResult(
+        method, election.scale, election.n_voters, entries,
+        tuple(tuple(cands[order[pos]].id for pos in group) for group in groups),
+        rejects is not None and rejects(tallies, election.n_voters),
+    )
 
 
 def competition_ranks(tie_keys: Sequence[object]) -> tuple[list[int], list[list[int]]]:
