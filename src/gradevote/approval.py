@@ -27,11 +27,14 @@ results.
 
 from dataclasses import dataclass
 
-from .core import ConfigError, ElectionProfile, GradeProfile, GradeScale, VoteError
-from .results import Block, RankedResult, Tallies, ranked
-
-#: Canonical grade labels for this procedure, best first.
-APPROVAL_SCALE = GradeScale(("strong", "weak", "none"))
+from .core import ConfigError, ElectionProfile, GradeProfile, VoteError
+from .results import (  # APPROVAL_SCALE is re-exported from here too
+    APPROVAL_SCALE,
+    Block,
+    RankedResult,
+    Tallies,
+    ranked,
+)
 
 
 @dataclass(frozen=True)
@@ -88,13 +91,9 @@ def approval_rejected(tallies: Tallies, n_voters: int) -> bool:
 def approval_rank(election: ElectionProfile) -> RankedResult:
     """Rank an approval election; never elects anyone when rejected.
 
-    Requires the canonical ``strong``/``weak``/``none`` scale.
+    Requires the canonical ``strong``/``weak``/``none`` scale
+    (:func:`gradevote.results.method_scale`).
     """
-    if election.scale != APPROVAL_SCALE:
-        raise ConfigError(
-            f"approval ranking needs the {APPROVAL_SCALE.labels!r} scale, "
-            f"got {election.scale.labels!r}"
-        )
     return ranked(
         election, "approval3", approval_keys,
         lambda key, counts: {"block": classify_block(ApprovalTally(*counts))},

@@ -4,8 +4,8 @@ Three verbs:
 
 * ``gradevote tally`` — run one election from a config and a ballot file.
 * ``gradevote check`` — run the property harness against an election:
-  participation (no-show) search, partition-consistency checks on three-grade
-  scales, plus optional randomized sweeps.
+  participation (no-show) search, partition-consistency checks (``mj3``, and
+  ``mj`` on three grades), plus optional randomized sweeps.
 * ``gradevote demo``  — tally a built-in fixture and optionally write its
   config and ballot files for further experiments.
 
@@ -260,7 +260,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     lines.extend(f"  {_describe_counterexample(ce)}" for ce in counterexamples)
 
     consistency = None
-    if election.scale.size != 3 or election.n_voters < 2:
+    if config.method == "approval3":
+        skipped = "the check decides partitions by the mj3 score, not by approval3"
+    elif election.scale.size != 3 or election.n_voters < 2:
         skipped = "needs a 3-grade scale and 2+ ballots"
     elif election.n_voters > limit and not args.samples:
         skipped = (

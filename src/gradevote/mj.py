@@ -136,6 +136,17 @@ def _removal_key(counts: tuple[int, ...], total: int) -> tuple:
     return tuple(key)
 
 
+def mj_key(counts: tuple[int, ...], total: int) -> tuple:
+    """The full key of one tally: the majority gauge, then the removal key.
+
+    It orders and ties the tallies of ``total`` ballots exactly as
+    :func:`mj_rank` does, whatever other tallies it is compared with;
+    :func:`_rank_keys` reaches the same order with the removal key only
+    where one election's gauges collide.
+    """
+    return _gauge(counts, total) + _removal_key(counts, total)
+
+
 def _rank_keys(tallies: list[tuple[int, ...]], total: int) -> list[tuple]:
     """Sort keys for one election's tallies: equal exactly for equal tallies.
 

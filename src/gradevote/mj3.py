@@ -21,8 +21,8 @@ with ``None`` marking an undefined value (zero denominator).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ConfigError, ElectionProfile, GradeProfile, GradeScale, VoteError
-from .results import RankedResult, Tallies, ranked
+from .core import ConfigError, ElectionProfile, GradeProfile, VoteError
+from .results import MJ3_SCALE, RankedResult, Tallies, ranked  # MJ3_SCALE re-exported
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class AltScores:
     neutral_normalized: Fraction | None  # (n_pos - n_neg) / n_neutral
 
 
-MJ3_SCALE_LABELS = ("positive", "neutral", "negative")
-MJ3_SCALE = GradeScale(MJ3_SCALE_LABELS)
+MJ3_SCALE_LABELS = MJ3_SCALE.labels
 
 
 def score3(tally: Tally3) -> ScorePair:
@@ -105,12 +104,9 @@ def mj3_rank(election: ElectionProfile) -> RankedResult:
     """Rank a three-grade election by (score, tie-break), best first.
 
     Raises :class:`ConfigError` on a scale that does not have exactly three
-    grades; use :func:`gradevote.mj.mj_rank` for other scales.
+    grades (:func:`gradevote.results.method_scale`); use
+    :func:`gradevote.mj.mj_rank` for other scales.
     """
-    if election.scale.size != 3:
-        raise ConfigError(
-            f"three-grade ranking needs a 3-grade scale, got {election.scale.size} grades"
-        )
     return ranked(
         election, "mj3", mj3_keys,
         lambda key, counts: {"score": -key[0], "tiebreak": -key[1]},

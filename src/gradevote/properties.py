@@ -23,9 +23,16 @@ The exhaustive generators (:func:`search_no_show_exhaustive`,
 :func:`search_cross_method_disagreements`, :func:`random_consistency_sweep`,
 :func:`polarization_sweep`) drive whole instance families and are what the
 ``check`` command and the test suite run.  Every search that needs only a
-decision takes it from :func:`outcome_from_counts`, on raw count tuples.
-Both consistency checks decide their partitions, given as bitmasks over the
-ballots, by popcounts, with no tally rebuilt per partition.
+decision takes it from per-tally sort keys on raw count tuples, with no
+profile or ranking built; :func:`outcome_from_counts` decides one election.
+The addition kernel behind :func:`search_no_show`,
+:func:`search_no_show_exhaustive` and :func:`manipulation_probe` builds one
+table per base tally, each candidate's key once one more ballot grades it
+``g``, and decides every extra ballot from lookups alone: the smallest
+looked-up key, its count and its position.  The exhaustive search builds the
+table once per tally and electorate size.  Both consistency checks decide
+their partitions, given as bitmasks over the ballots, by popcounts, with no
+tally rebuilt per partition.
 :func:`search_cross_method_disagreements` compares whole orders and tie
 groups, taken from each method's sort key computed once per tally; the full
 rankers remain its test oracle.
@@ -36,6 +43,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, product
+from operator import itemgetter
 
 from .approval import ApprovalTally, classify_block
 from .core import (
@@ -48,7 +56,7 @@ from .core import (
     build_profiles,
 )
 from .methods import KEYS, method_scale, resolve_method
-from .mj import _gauge, _removal_key
+from .mj import mj_key
 from .mj3 import MJ3_SCALE, mj3_keys
 from .results import (  # Outcome and outcome_of are re-exported from here too
     Block,
@@ -64,6 +72,47 @@ from .results import (  # Outcome and outcome_of are re-exported from here too
 # outcome plumbing shared by all searches
 # --------------------------------------------------------------------------
 
+def _key_table(
+    method: str, tallies: Tallies, n_voters: int
+) -> tuple[list, list[bool] | None]:
+    """The sort key of every tally under ``method``, and for a method that can
+    reject, whether a strict majority approves each tally (None otherwise).
+
+    The key rule of :data:`gradevote.methods.KEYS` runs once over all of
+    ``tallies``, so any selection of them orders and ties as the ranker would
+    order and tie those tallies: ``mj``'s gauge shortcut extends a whole gauge
+    group of the call or none of it.  The rejection rule rejects an election
+    exactly when it would reject each of its tallies alone, so a selection is
+    rejected exactly when none of its tallies is approved.
+    """
+    try:
+        keys_fn, rejects = KEYS[method]
+    except KeyError:
+        raise ConfigError(f"unknown ranking method {method!r}") from None
+    keys = keys_fn(tallies, n_voters)
+    if rejects is None:
+        return keys, None
+    return keys, [not rejects((counts,), n_voters) for counts in tallies]
+
+
+def _top(keys: Sequence, approved: Sequence[bool] | None) -> list[int]:
+    """Positions of the smallest key: one for a unique winner, several for a
+    tie, none when ``approved`` marks no tally approved (a rejection)."""
+    if approved is not None and not any(approved):
+        return []
+    top = min(keys)
+    return [i for i, key in enumerate(keys) if key == top]
+
+
+def _outcome(ids: Sequence[str], top: Sequence[int]) -> Outcome:
+    """The :class:`Outcome` of the candidates at positions ``top``."""
+    if not top:
+        return Outcome("rejected")
+    if len(top) == 1:
+        return Outcome("winner", winner=ids[top[0]])
+    return Outcome("tie", tied=tuple(ids[i] for i in top))
+
+
 def outcome_from_counts(
     method: str, ids: Sequence[str], tallies: Tallies, n_voters: int
 ) -> Outcome:
@@ -75,17 +124,7 @@ def outcome_from_counts(
     candidates of the top key in registration order.  ``tallies`` must each
     sum to ``n_voters`` > 0; that is not checked here.
     """
-    try:
-        keys_fn, rejects = KEYS[method]
-    except KeyError:
-        raise ConfigError(f"unknown ranking method {method!r}") from None
-    if rejects is not None and rejects(tallies, n_voters):
-        return Outcome("rejected")
-    keys = keys_fn(tallies, n_voters)
-    top = min(keys)
-    if keys.count(top) == 1:
-        return Outcome("winner", winner=ids[keys.index(top)])
-    return Outcome("tie", tied=tuple(c for c, key in zip(ids, keys) if key == top))
+    return _outcome(ids, _top(*_key_table(method, tallies, n_voters)))
 
 
 def _bump(counts: tuple[int, ...], grade: int, step: int) -> tuple[int, ...]:
@@ -93,15 +132,37 @@ def _bump(counts: tuple[int, ...], grade: int, step: int) -> tuple[int, ...]:
     return counts[:grade] + (counts[grade] + step,) + counts[grade + 1:]
 
 
-def _with_each_ballot(
-    method: str, ids: Sequence[str], base: Tallies, n_voters: int, n_grades: int
-) -> Iterator[tuple[tuple[int, ...], Outcome]]:
-    """Every grade vector one more ballot could carry, in ``product`` order,
-    with the outcome once that ballot joins ``base``."""
-    bumped = [[_bump(c, g, 1) for g in range(n_grades)] for c in base]
-    for vector in product(range(n_grades), repeat=len(ids)):
-        tallies = [row[g] for row, g in zip(bumped, vector)]
-        yield vector, outcome_from_counts(method, ids, tallies, n_voters + 1)
+def _addition_rows(
+    method: str, base: Tallies, n_voters: int, n_grades: int
+) -> tuple[list, list | None]:
+    """The addition kernel's table: row ``c``, entry ``g`` is the key of
+    tally ``base[c]`` once one more ballot grades it ``g``, and for a method
+    that can reject, whether a strict majority approves that tally (None
+    otherwise).  Every extra ballot is then decided by lookups alone
+    (:func:`_unique_winners`)."""
+    bumped = [_bump(counts, g, 1) for counts in base for g in range(n_grades)]
+    keys, approved = _key_table(method, bumped, n_voters + 1)
+    starts = range(0, len(bumped), n_grades)
+    return (
+        [keys[i:i + n_grades] for i in starts],
+        None if approved is None else [approved[i:i + n_grades] for i in starts],
+    )
+
+
+def _unique_winners(
+    key_rows: Sequence[Sequence], approved_rows: Sequence[Sequence[bool]] | None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every grade vector (one entry of each row, in ``product`` order) whose
+    looked-up keys elect a unique winner, with that winner's position.
+    Vectors that leave a tie at the top or no tally approved are skipped."""
+    cases = zip(product(*(range(len(row)) for row in key_rows)), product(*key_rows))
+    if approved_rows is not None:
+        cases = (case for case, approved in zip(cases, product(*approved_rows))
+                 if any(approved))
+    for vector, keys in cases:
+        top = min(keys)
+        if keys.count(top) == 1:
+            yield vector, keys.index(top)
 
 
 # --------------------------------------------------------------------------
@@ -394,35 +455,24 @@ class NoShowCounterexample:
     after: Outcome
 
 
-def _flips_against(before: Outcome, after: Outcome, grade_of: Mapping[str, int]) -> bool:
-    """Whether ``after`` elects a unique winner graded worse (a larger
-    position) than ``before``'s winner or than a candidate ``before`` ties."""
-    if after.kind != "winner":
-        return False
-    if before.kind == "winner" and before.winner != after.winner:
-        return grade_of[after.winner] > grade_of[before.winner]
-    if before.kind == "tie":
-        return any(grade_of[x] < grade_of[after.winner] for x in before.tied)
-    return False
-
-
-def _additions(
-    method: str, ids, labels, base: Tallies, n_voters: int, before: Outcome
+def _addition_counterexamples(
+    ids: Sequence[str], labels: Sequence[str], rows: tuple, before: Sequence[int]
 ) -> list[NoShowCounterexample]:
-    """Every extra ballot whose casting flips ``before`` against its own grades."""
-    found = []
-    for vector, after in _with_each_ballot(method, ids, base, n_voters, len(labels)):
-        if _flips_against(before, after, dict(zip(ids, vector))):
-            found.append(
-                NoShowCounterexample(
-                    kind="addition",
-                    grades={cid: labels[g] for cid, g in zip(ids, vector)},
-                    voter_id=None,
-                    before=before,
-                    after=after,
-                )
-            )
-    return found
+    """Every extra ballot, decided from the table ``rows`` of
+    :func:`_addition_rows`, whose casting elects a unique winner that the
+    ballot grades worse (a larger position) than a candidate of ``before``,
+    the positions of the top key before it was cast."""
+    return [
+        NoShowCounterexample(
+            kind="addition",
+            grades={cid: labels[g] for cid, g in zip(ids, vector)},
+            voter_id=None,
+            before=_outcome(ids, before),
+            after=Outcome("winner", winner=ids[w]),
+        )
+        for vector, w in _unique_winners(*rows)
+        if any(vector[x] < vector[w] for x in before)
+    ]
 
 
 def search_no_show(
@@ -439,7 +489,8 @@ def search_no_show(
     re-tallies the election without each distinct existing ballot and runs
     only when ``ballots`` are supplied, since per-candidate tallies do not
     determine them.  Returns all counterexamples found, additions first.
-    Every outcome is decided from counts (:func:`outcome_from_counts`).
+    Every outcome is decided from per-tally keys on counts, each extra ballot
+    by lookups in the addition kernel's table (:func:`_addition_rows`).
     """
     scale = election.scale
     method = resolve_method(method, scale)
@@ -451,29 +502,33 @@ def search_no_show(
         )
     require_rankable(election)
     base = [p.counts for p in election.profiles]
-    before = outcome_from_counts(method, ids, base, election.n_voters)
-    found = _additions(method, ids, scale.labels, base, election.n_voters, before)
+    n = election.n_voters
+    before = _top(*_key_table(method, base, n))
+    found = _addition_counterexamples(
+        ids, scale.labels, _addition_rows(method, base, n, scale.size), before
+    )
 
     if ballots:
         vectors = _ballot_vectors(election, ballots)
         seen: set[tuple[int, ...]] = set()
         for ballot, vector in zip(ballots, vectors):
-            if vector in seen or election.n_voters == 1:
+            if vector in seen or n == 1:
                 continue  # a repeated ballot, or removal would empty the election
             seen.add(vector)
             reduced = [_bump(c, g, -1) for c, g in zip(base, vector)]
-            without = outcome_from_counts(method, ids, reduced, election.n_voters - 1)
-            # leaving helps when the outcome without the ballot is graded
-            # better, i.e. worse by the ballot's grades reversed
-            reversed_grades = {cid: -g for cid, g in zip(ids, vector)}
-            if _flips_against(before, without, reversed_grades):
+            without = _top(*_key_table(method, reduced, n - 1))
+            if len(without) != 1:
+                continue
+            # leaving helps when it elects a unique winner that the ballot
+            # grades better (a smaller position) than a candidate of before
+            if any(vector[x] > vector[without[0]] for x in before):
                 found.append(
                     NoShowCounterexample(
                         kind="removal",
                         grades={cid: scale.labels[g] for cid, g in zip(ids, vector)},
                         voter_id=ballot.voter_id,
-                        before=before,
-                        after=without,
+                        before=_outcome(ids, before),
+                        after=_outcome(ids, without),
                     )
                 )
     return found
@@ -512,19 +567,24 @@ def search_no_show_exhaustive(
     Every pair of per-candidate tallies with 1..max_voters ballots is
     combined with every one of the 9 possible extra ballots.  ``method`` picks
     the winner rule (``mj3``, ``mj``, or ``approval3``), on its default scale;
-    all of them must come back clean on three grades.
+    all of them must come back clean on three grades.  The key tables are
+    built once per tally and electorate size, so each instance only looks up.
     """
     scale = method_scale(method, None)
     ids = ("a", "b")
     report = NoShowSweepReport(n_instances=0, n_additions_checked=0)
     for n in range(1, max_voters + 1):
-        tallies = list(_compositions(n, 3))
-        for base in product(tallies, repeat=2):
+        tallies = list(_compositions(n, scale.size))
+        keys, approved = _key_table(method, tallies, n)
+        key_rows, approved_rows = _addition_rows(method, tallies, n, scale.size)
+        for pair in product(range(len(tallies)), repeat=len(ids)):
+            pick = itemgetter(*pair)
             report.n_instances += 1
             report.n_additions_checked += scale.size ** len(ids)
-            before = outcome_from_counts(method, ids, base, n)
-            report.counterexamples += _additions(
-                method, ids, scale.labels, base, n, before
+            before = _top(pick(keys), approved and pick(approved))
+            rows = (pick(key_rows), approved_rows and pick(approved_rows))
+            report.counterexamples += _addition_counterexamples(
+                ids, scale.labels, rows, before
             )
     return report
 
@@ -556,12 +616,12 @@ def _ranking(keys: Sequence) -> tuple[list[int], list[list[int]]]:
 
 def _cross_method_keys(n: int) -> tuple[list[tuple[int, ...]], list, list]:
     """Every three-grade tally of ``n`` ballots with its ``mj3`` key and its
-    full ``mj`` key (the majority gauge plus the removal key)."""
+    full ``mj`` key (:func:`gradevote.mj.mj_key`)."""
     tallies = list(_compositions(n, 3))
     return (
         tallies,
         mj3_keys(tallies, n),
-        [_gauge(counts, n) + _removal_key(counts, n) for counts in tallies],
+        [mj_key(counts, n) for counts in tallies],
     )
 
 
@@ -708,28 +768,26 @@ def manipulation_probe(
     require_rankable(election)
     honest_vector = tuple(honest.grade_index(cid, scale) for cid in ids)
     full = [p.counts for p in election.profiles]
-    honest_outcome = outcome_from_counts(method, ids, full, election.n_voters)
+    honest_top = _top(*_key_table(method, full, election.n_voters))
     report = ManipulationReport(
         voter_id=voter_id,
-        honest_winner=honest_outcome.winner,
+        honest_winner=_outcome(ids, honest_top).winner,
         n_alternatives=0,
     )
-    if honest_outcome.kind != "winner":
+    if len(honest_top) != 1:
         return report
     n_vectors = scale.size ** len(ids)
     if n_vectors > max_alternatives:
         raise VoteError(f"{n_vectors} alternative ballots exceed the probe cap")
-    honest_grade = dict(zip(ids, honest_vector))
-    # the honest ballot comes out of the counts once; each alternative goes in
+    report.n_alternatives = n_vectors - 1  # every ballot but the honest one
+    honest_best = honest_vector[honest_top[0]]
+    # the honest ballot comes out of the counts once; each alternative goes
+    # in.  The honest ballot itself re-elects the honest winner, so it never
+    # counts as improving.
     others = [_bump(c, g, -1) for c, g in zip(full, honest_vector)]
-    n_others = election.n_voters - 1
-    for vector, outcome in _with_each_ballot(method, ids, others, n_others, scale.size):
-        if vector == honest_vector:
-            continue
-        report.n_alternatives += 1
-        if outcome.kind != "winner":
-            continue
-        if honest_grade[outcome.winner] < honest_grade[honest_outcome.winner]:
+    rows = _addition_rows(method, others, election.n_voters - 1, scale.size)
+    for vector, w in _unique_winners(*rows):
+        if honest_vector[w] < honest_best:
             grades = {cid: scale.labels[g] for cid, g in zip(ids, vector)}
-            report.improving.append(Deviation(grades=grades, winner=outcome.winner))
+            report.improving.append(Deviation(grades=grades, winner=ids[w]))
     return report

@@ -11,17 +11,42 @@ order.
 tally, smaller is better, equal exactly for equal tallies), sorting stably so
 that equal keys keep registration order; ranks and tie groups are the runs of
 equal keys.  ``gradevote.methods.KEYS`` holds the same key functions, so the
-harness can decide outcomes from keys alone.
+harness can decide outcomes from keys alone.  The builder first checks the
+scale by :func:`method_scale`, the one rule for the scale each method ranks,
+which the config loader and the harness share.
 """
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import ElectionProfile, GradeScale, VoteError
+from .core import ConfigError, ElectionProfile, GradeScale, VoteError
 
 #: Per-candidate counts, best grade first, in registration order.
 Tallies = Sequence[Sequence[int]]
+
+
+#: The default scale of ``mj`` and ``mj3``, best grade first.
+MJ3_SCALE = GradeScale(("positive", "neutral", "negative"))
+#: The fixed scale of ``approval3``, best grade first.
+APPROVAL_SCALE = GradeScale(("strong", "weak", "none"))
+
+
+def method_scale(method: str, scale: GradeScale | None) -> GradeScale:
+    """The scale ``method`` ranks: ``scale``, or the method's default if None.
+    Raises :class:`ConfigError` for an unknown method or a scale it cannot rank."""
+    if method == "approval3":
+        if scale not in (None, APPROVAL_SCALE):
+            raise ConfigError(
+                f"method approval3 uses the fixed scale {APPROVAL_SCALE.labels!r}"
+            )
+        return APPROVAL_SCALE
+    if method == "mj3":
+        if scale is not None and scale.size != 3:
+            raise ConfigError("method mj3 needs a 3-grade scale")
+    elif method != "mj":
+        raise ConfigError(f"unknown ranking method {method!r}")
+    return MJ3_SCALE if scale is None else scale
 
 
 class Block(Enum):
@@ -113,9 +138,11 @@ def ranked(
     fields: Callable[[object, tuple[int, ...]], dict],
     rejects: Callable[[Tallies, int], bool] | None = None,
 ) -> RankedResult:
-    """Rank ``election`` by ``keys_fn(tallies, n_voters)``, smallest key first.
+    """Rank ``election`` by ``keys_fn(tallies, n_voters)``, smallest key first,
+    once :func:`method_scale` accepts its scale for ``method``.
     ``fields(key, counts)`` gives an entry's method-specific fields, and
     ``rejects(tallies, n_voters)``, if given, whether the result is rejected."""
+    method_scale(method, election.scale)
     require_rankable(election)
     tallies = [p.counts for p in election.profiles]
     keys = keys_fn(tallies, election.n_voters)

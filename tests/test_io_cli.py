@@ -520,6 +520,22 @@ def test_cli_check_clean_three_grade_election(tmp_path, capsys):
     assert "result: ok" in out
 
 
+def test_cli_check_skips_consistency_for_approval3(tmp_path, capsys):
+    # the partition check decides by the mj3 score; before, an approval3
+    # election got a consistency line about a rule it does not use
+    config, ballots = _write_fixture(tmp_path, "smalltown")
+    args = ["check", "--config", config, "--ballots", ballots,
+            "--samples", "200", "--seed", "1"]
+    capsys.readouterr()
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "method: approval3" in out
+    assert "consistency: skipped (the check decides partitions by the mj3 score" in out
+    assert "partitions," not in out
+    assert main(args + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["consistency"] is None
+
+
 def test_cli_check_skips_consistency_above_limit(tmp_path, capsys):
     config, ballots = _write_fixture(tmp_path, "school3")
     capsys.readouterr()

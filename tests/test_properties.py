@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache, partial
 from itertools import combinations_with_replacement, product
 from operator import sub
@@ -42,12 +42,21 @@ from gradevote.mj3 import MJ3_SCALE_LABELS
 from gradevote.properties import (
     ConsistencyViolation,
     CrossMethodReport,
+    Deviation,
+    ManipulationReport,
+    NoShowCounterexample,
+    NoShowSweepReport,
     NoUniqueWinnerError,
     PartitionCheckReport,
     PartitionPremise,
+    _bump,
     _cross_method_keys,
+    _key_table,
+    _outcome,
     _ranking,
+    _top,
 )
+from gradevote.results import Tallies
 
 SCALE3 = GradeScale(MJ3_SCALE_LABELS)
 AB = [Candidate("a"), Candidate("b")]
@@ -111,10 +120,18 @@ def test_outcome_from_counts_matches_the_rankers_exhaustively(method, n_grades):
         candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
         ids = [c.id for c in candidates]
         for n in range(1, max_voters + 1):
-            for combo in product(_tallies(n, n_grades), repeat=n_cands):
+            tallies = _tallies(n, n_grades)
+            # one key table over every tally of n ballots: any selection from
+            # it decides as the ranker does (the addition kernel's lookups)
+            keys, approved = _key_table(method, tallies, n)
+            for picks in product(range(len(tallies)), repeat=n_cands):
+                combo = tuple(tallies[i] for i in picks)
                 election = election_from_counts(scale, candidates, dict(zip(ids, combo)))
                 expected = outcome_of(ranker(election))
                 assert outcome_from_counts(method, ids, combo, n) == expected, combo
+                looked_up = _top([keys[i] for i in picks],
+                                 approved and [approved[i] for i in picks])
+                assert _outcome(ids, looked_up) == expected, combo
                 seen.add(expected.kind)
     # rank-1 ties are covered everywhere, rejection where the method has it
     assert seen == ({"winner", "tie", "rejected"} if method == "approval3"
@@ -847,3 +864,190 @@ def test_probe_requires_a_known_voter():
     election, ballots = _election([{"a": "positive", "b": "neutral"}])
     with pytest.raises(ValidationError, match="unknown voter_id"):
         manipulation_probe(election, ballots, "ghost")
+
+
+# ---------------------------------------------------------------------------
+# the addition kernel against the searches as they ran before it
+# ---------------------------------------------------------------------------
+
+# Before the addition kernel, every extra ballot's tallies were gathered from
+# pre-bumped rows and decided by outcome_from_counts, and the flip was tested
+# on a grade dict.  _with_each_ballot, _flips_against and _additions are kept
+# verbatim as the reference; the three _reference_* searches call them as the
+# searches did.
+
+def _with_each_ballot(
+    method: str, ids: Sequence[str], base: Tallies, n_voters: int, n_grades: int
+) -> Iterator[tuple[tuple[int, ...], Outcome]]:
+    """Every grade vector one more ballot could carry, in ``product`` order,
+    with the outcome once that ballot joins ``base``."""
+    bumped = [[_bump(c, g, 1) for g in range(n_grades)] for c in base]
+    for vector in product(range(n_grades), repeat=len(ids)):
+        tallies = [row[g] for row, g in zip(bumped, vector)]
+        yield vector, outcome_from_counts(method, ids, tallies, n_voters + 1)
+
+
+def _flips_against(before: Outcome, after: Outcome, grade_of: Mapping[str, int]) -> bool:
+    """Whether ``after`` elects a unique winner graded worse (a larger
+    position) than ``before``'s winner or than a candidate ``before`` ties."""
+    if after.kind != "winner":
+        return False
+    if before.kind == "winner" and before.winner != after.winner:
+        return grade_of[after.winner] > grade_of[before.winner]
+    if before.kind == "tie":
+        return any(grade_of[x] < grade_of[after.winner] for x in before.tied)
+    return False
+
+
+def _additions(
+    method: str, ids, labels, base: Tallies, n_voters: int, before: Outcome
+) -> list[NoShowCounterexample]:
+    """Every extra ballot whose casting flips ``before`` against its own grades."""
+    found = []
+    for vector, after in _with_each_ballot(method, ids, base, n_voters, len(labels)):
+        if _flips_against(before, after, dict(zip(ids, vector))):
+            found.append(
+                NoShowCounterexample(
+                    kind="addition",
+                    grades={cid: labels[g] for cid, g in zip(ids, vector)},
+                    voter_id=None,
+                    before=before,
+                    after=after,
+                )
+            )
+    return found
+
+
+def _reference_no_show(election, ballots, method):
+    """``search_no_show(election, ballots, method=method)`` as it ran before."""
+    scale = election.scale
+    ids = [c.id for c in election.candidates]
+    base = [p.counts for p in election.profiles]
+    before = outcome_from_counts(method, ids, base, election.n_voters)
+    found = _additions(method, ids, scale.labels, base, election.n_voters, before)
+    vectors = [tuple(b.grade_index(cid, scale) for cid in ids) for b in ballots]
+    seen = set()
+    for ballot, vector in zip(ballots, vectors):
+        if vector in seen or election.n_voters == 1:
+            continue
+        seen.add(vector)
+        reduced = [_bump(c, g, -1) for c, g in zip(base, vector)]
+        without = outcome_from_counts(method, ids, reduced, election.n_voters - 1)
+        reversed_grades = {cid: -g for cid, g in zip(ids, vector)}
+        if _flips_against(before, without, reversed_grades):
+            found.append(
+                NoShowCounterexample(
+                    kind="removal",
+                    grades={cid: scale.labels[g] for cid, g in zip(ids, vector)},
+                    voter_id=ballot.voter_id,
+                    before=before,
+                    after=without,
+                )
+            )
+    return found
+
+
+def _reference_no_show_exhaustive(max_voters, method):
+    """``search_no_show_exhaustive`` as it ran before."""
+    scale = APPROVAL_SCALE if method == "approval3" else SCALE3
+    ids = ("a", "b")
+    report = NoShowSweepReport(n_instances=0, n_additions_checked=0)
+    for n in range(1, max_voters + 1):
+        for base in product(_tallies(n, 3), repeat=2):
+            report.n_instances += 1
+            report.n_additions_checked += scale.size ** len(ids)
+            before = outcome_from_counts(method, ids, base, n)
+            report.counterexamples += _additions(
+                method, ids, scale.labels, base, n, before
+            )
+    return report
+
+
+def _reference_probe(election, ballots, voter_id, method):
+    """``manipulation_probe(election, ballots, voter_id, method=method)`` as
+    it ran before."""
+    scale = election.scale
+    ids = [c.id for c in election.candidates]
+    honest = next(b for b in ballots if b.voter_id == voter_id)
+    honest_vector = tuple(honest.grade_index(cid, scale) for cid in ids)
+    full = [p.counts for p in election.profiles]
+    honest_outcome = outcome_from_counts(method, ids, full, election.n_voters)
+    report = ManipulationReport(
+        voter_id=voter_id, honest_winner=honest_outcome.winner, n_alternatives=0
+    )
+    if honest_outcome.kind != "winner":
+        return report
+    honest_grade = dict(zip(ids, honest_vector))
+    others = [_bump(c, g, -1) for c, g in zip(full, honest_vector)]
+    n_others = election.n_voters - 1
+    for vector, outcome in _with_each_ballot(method, ids, others, n_others, scale.size):
+        if vector == honest_vector:
+            continue
+        report.n_alternatives += 1
+        if outcome.kind != "winner":
+            continue
+        if honest_grade[outcome.winner] < honest_grade[honest_outcome.winner]:
+            grades = {cid: scale.labels[g] for cid, g in zip(ids, vector)}
+            report.improving.append(Deviation(grades=grades, winner=outcome.winner))
+    return report
+
+
+@pytest.mark.parametrize("method", ["mj3", "mj", "approval3"])
+def test_exhaustive_no_show_matches_the_reference(method):
+    # the report lists every instance with up to five ballots in order
+    assert search_no_show_exhaustive(
+        max_voters=5, method=method
+    ) == _reference_no_show_exhaustive(5, method)
+
+
+SCALE4 = GradeScale(("g0", "g1", "g2", "g3"))
+
+# (method, scale) -> voter cap for 1, 2 and 3 candidates; every ballot
+# multiset within the caps is searched (2,259 elections in all)
+ADDITION_CASES = {
+    ("mj3", SCALE3): (4, 3, 2),
+    ("approval3", APPROVAL_SCALE): (4, 3, 2),
+    ("mj", SCALE3): (4, 3, 2),
+    ("mj", SCALE4): (4, 2, 1),
+}
+
+
+@pytest.mark.parametrize("method, scale", ADDITION_CASES)
+def test_no_show_and_probe_match_the_reference_on_every_small_election(method, scale):
+    seen = Counter()
+    for n_cands, max_voters in enumerate(ADDITION_CASES[method, scale], start=1):
+        candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
+        ids = [c.id for c in candidates]
+        kinds = list(product(scale.labels, repeat=n_cands))
+        for n in range(1, max_voters + 1):
+            for combo in combinations_with_replacement(kinds, n):
+                election, ballots = _election(
+                    [dict(zip(ids, kind)) for kind in combo],
+                    candidates=candidates, scale=scale,
+                )
+                found = search_no_show(election, ballots, method=method)
+                assert found == _reference_no_show(election, ballots, method), combo
+                probe = manipulation_probe(election, ballots, f"v{n}", method=method)
+                assert probe == _reference_probe(election, ballots, f"v{n}", method)
+                tallies = [p.counts for p in election.profiles]
+                seen[outcome_from_counts(method, ids, tallies, n).kind] += 1
+                seen["improving"] += bool(probe.improving)
+                seen.update(ce.kind for ce in found)
+    assert seen["winner"] and seen["tie"] and seen["improving"]
+    if method == "approval3":
+        assert seen["rejected"]
+    if scale is SCALE4:  # the removal case is the school fixture's, below
+        assert seen["addition"]
+    else:  # three grades never punish participation
+        assert not seen["addition"] and not seen["removal"]
+
+
+def test_no_show_and_probe_match_the_reference_on_the_school_fixture():
+    fx = school_outing()
+    election = build_profiles(fx.scale, fx.candidates, fx.ballots)
+    found = search_no_show(election, fx.ballots)
+    assert found == _reference_no_show(election, fx.ballots, "mj")
+    assert [ce.kind for ce in found] == ["removal"]
+    for ballot in fx.ballots:
+        probe = manipulation_probe(election, fx.ballots, ballot.voter_id)
+        assert probe == _reference_probe(election, fx.ballots, ballot.voter_id, "mj")

@@ -30,7 +30,7 @@ from gradevote import (
     search_no_show,
 )
 from gradevote.ballot_io import METHODS
-from gradevote.methods import KEYS, RANKERS
+from gradevote.methods import KEYS, RANKERS, method_scale
 from gradevote.mj import _rank_keys
 from gradevote.mj3 import MJ3_SCALE
 from gradevote.results import competition_ranks
@@ -216,6 +216,11 @@ def test_builder_ranks_every_small_election_like_the_reference(method, scale):
 def test_every_method_has_one_key_rule_and_one_name():
     assert KEYS.keys() == RANKERS.keys()
     assert METHODS == (*RANKERS, "bracket")
+    # the scale rule names the methods too; it must know exactly these
+    for method in RANKERS:
+        method_scale(method, None)
+    with pytest.raises(ConfigError, match="unknown ranking method"):
+        method_scale("bracket", None)
 
 
 @pytest.mark.parametrize("method", ["mj4", "MJ3", "bracket", "auto"])
