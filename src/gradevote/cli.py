@@ -260,8 +260,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     lines.extend(f"  {_describe_counterexample(ce)}" for ce in counterexamples)
 
     consistency = None
+    # the labeled check and the random sweep both decide by the mj3 score
+    by_score = "the check decides partitions by the mj3 score, not by approval3"
     if config.method == "approval3":
-        skipped = "the check decides partitions by the mj3 score, not by approval3"
+        skipped = by_score
     elif election.scale.size != 3 or election.n_voters < 2:
         skipped = "needs a 3-grade scale and 2+ ballots"
     elif election.n_voters > limit and not args.samples:
@@ -304,19 +306,25 @@ def cmd_check(args: argparse.Namespace) -> int:
             lines.append(REJECTED_BANNER)
 
     if args.random:
-        sweep = random_consistency_sweep(args.random, seed=seed)
         polarization = polarization_sweep(args.random, seed=seed)
-        findings += len(sweep.violations) + len(polarization)
+        if config.method == "approval3":
+            partitions = violations = None
+            checked = f"consistency skipped ({by_score})"
+        else:
+            sweep = random_consistency_sweep(args.random, seed=seed)
+            partitions, violations = sweep.n_partitions_checked, len(sweep.violations)
+            checked = f"{partitions} partitions"
+        found = len(polarization) + (violations or 0)
+        findings += found
         report["random_sweeps"] = {
             "n_instances": args.random,
-            "consistency_partitions": sweep.n_partitions_checked,
-            "consistency_violations": len(sweep.violations),
+            "consistency_partitions": partitions,
+            "consistency_violations": violations,
+            **({"consistency_skipped": by_score} if partitions is None else {}),
             "polarization_violations": len(polarization),
         }
         lines.append(
-            f"random sweeps: {args.random} instances, "
-            f"{sweep.n_partitions_checked} partitions, "
-            f"{len(sweep.violations) + len(polarization)} violation(s)"
+            f"random sweeps: {args.random} instances, {checked}, {found} violation(s)"
         )
 
     if args.probe:

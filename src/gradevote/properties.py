@@ -32,7 +32,8 @@ table per base tally, each candidate's key once one more ballot grades it
 looked-up key, its count and its position.  The exhaustive search builds the
 table once per tally and electorate size.  Both consistency checks decide
 their partitions, given as bitmasks over the ballots, by popcounts, with no
-tally rebuilt per partition.
+tally rebuilt per partition: :func:`_check_masks` decides a block of masks
+at a time from per-candidate key columns and a strongest-rival filter.
 :func:`search_cross_method_disagreements` compares whole orders and tie
 groups, taken from each method's sort key computed once per tally; the full
 rankers remain its test oracle.
@@ -40,10 +41,11 @@ rankers remain its test oracle.
 
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, product
-from operator import itemgetter
+from functools import cache, partial
+from itertools import accumulate, compress, islice, product, repeat
+from operator import add, and_, itemgetter, lt
 
 from .approval import ApprovalTally, classify_block
 from .core import (
@@ -230,6 +232,92 @@ def _ballot_vectors(
     return vectors
 
 
+_BLOCK = 1 << 10  # masks decided together; a range block shares its high bits
+
+
+def _part_key(n: int, index: int) -> int:
+    """The ``mj3`` key of a part where a candidate has ``p`` positive and ``q``
+    negative of ``n`` grades, at ``index = p * (n + 1) + q``: the key ``(-p, q)
+    if p > q else (q, -p)`` of ``mj3_keys`` as the one integer
+    ``-(s * span + t)``.  Part 2's index is the total index less part 1's."""
+    p, q = divmod(index, n + 1)
+    span = 2 * n + 1  # t lies in [-n, n], so s * span + t orders (s, t) lexicographically
+    return q - p * span if p > q else q * span - p
+
+
+def _indices(pos: int, neg: int, side: int, masks: Iterable[int]) -> list[int]:
+    """``p * side + q`` of each mask's part 1, by popcounts against one
+    candidate's positive and negative ballot bitmasks."""
+    return list(map(
+        add,
+        map(side.__mul__, map(int.bit_count, map(pos.__and__, masks))),
+        map(int.bit_count, map(neg.__and__, masks)),
+    ))
+
+
+def _key_columns(
+    masks: Iterable[int], signs: list, totals: list[int], n: int, key: Callable
+) -> Iterator[tuple[Sequence[int], list[Sequence[int]], list[Sequence[int]]]]:
+    """Each block of at most ``_BLOCK`` masks, in order, with per candidate a
+    column of part-1 keys and one of part-2 keys.  A range is cut at multiples
+    of ``_BLOCK``: a candidate's indices are then a base per block plus a
+    low-bits table built once, looked up in slices of one key list, part 2's
+    reversed (``table[total - base::-1][i]`` is the key at ``total - base -
+    i``).  Other masks have their indices counted per block."""
+    side = n + 1
+    if isinstance(masks, range) and masks.step == 1:
+        table = list(map(key, range(side * side)))
+        low = [itemgetter(*_indices(pos, neg, side, range(min(_BLOCK, masks.stop))))
+               for pos, neg in signs]
+        for start in range(masks.start & -_BLOCK, masks.stop, _BLOCK):
+            block = range(max(start, masks.start), min(start + _BLOCK, masks.stop))
+            cut = slice(block.start - start, block.stop - start)
+            bases = [(start & pos).bit_count() * side + (start & neg).bit_count()
+                     for pos, neg in signs]
+            yield (
+                block,
+                [get(table[b:])[cut] for b, get in zip(bases, low)],
+                [get(table[t - b::-1])[cut] for b, t, get in zip(bases, totals, low)],
+            )
+        return
+    masks = iter(masks)
+    while block := list(islice(masks, _BLOCK)):
+        index = [_indices(pos, neg, side, block) for pos, neg in signs]
+        yield (
+            block,
+            [list(map(key, col)) for col in index],
+            [list(map(key, map(t.__sub__, col))) for t, col in zip(totals, index)],
+        )
+
+
+def _unique_tops(
+    keys1: Sequence[Sequence[int]], keys2: Sequence[Sequence[int]], strongest: list[int]
+) -> list[tuple[int, int]]:
+    """``(position, w)`` for every mask of a block whose two parts have the
+    same unique top ``w``, in block order.  For each ``w``, its rivals are
+    tested strongest first, each keeping only the masks where ``w``'s key is
+    strictly below the rival's in both parts."""
+    found = []
+    size = len(keys1[0])
+    for w in strongest:
+        at, w1, w2 = range(size), keys1[w], keys2[w]
+        for r in strongest:
+            if r == w:
+                continue
+            r1, r2 = keys1[r], keys2[r]
+            if len(at) < size:
+                r1, r2 = map(r1.__getitem__, at), map(r2.__getitem__, at)
+            keep = list(map(and_, map(lt, w1, r1), map(lt, w2, r2)))
+            at = list(compress(at, keep))
+            if not at:
+                break
+            w1, w2 = list(compress(w1, keep)), list(compress(w2, keep))
+        else:
+            found.extend(zip(at, repeat(w)))
+    found.sort()
+    return found
+
+
 def _check_masks(
     election: ElectionProfile,
     vectors: Sequence[tuple[int, ...]],
@@ -241,80 +329,74 @@ def _check_masks(
 
     Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
     part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
-    candidate's positive and negative ballot bitmasks.
+    candidate's positive and negative ballot bitmasks, looked up as one key
+    (:func:`_key_columns`), a block of masks at a time.  Only the masks whose
+    parts share a unique top (:func:`_unique_tops`) reach the sign and
+    premise tests, in mask order.
     """
     require_rankable(election)
     ids = [c.id for c in election.candidates]
     n = len(vectors)
-    everyone = (1 << n) - 1
     signs = [
         [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
         for c in range(len(ids))
     ]
-    span = 2 * n + 1  # t lies in [-n, n], so s * span + t orders (s, t) lexicographically
-
-    def keys(part: int) -> list[int]:
-        # -(s * span + t) for each candidate's mj3 pair (s, t): the key
-        # (-p, q) if p > q else (q, -p) of mj3_keys as one integer
-        return [
-            q - p * span if p > q else q * span - p
-            for pos, neg in signs
-            for p in ((part & pos).bit_count(),)
-            for q in ((part & neg).bit_count(),)
-        ]
-
-    overall = keys(everyone)
+    key = cache(partial(_part_key, n))  # per call, holding only the indices met
+    span = 2 * n + 1
+    totals = [pos.bit_count() * (n + 1) + neg.bit_count() for pos, neg in signs]
+    overall = list(map(key, totals))
     top = min(overall)
     if overall.count(top) != 1:
         raise NoUniqueWinnerError("combined election has no unique winner")
     winner_overall = ids[overall.index(top)]
+    strongest = sorted(range(len(ids)), key=overall.__getitem__)
     report = PartitionCheckReport(
         n_ballots=n,
         n_partitions_checked=0,
         n_premise_satisfied=0,
         sampled=sampled,
     )
-    for mask in masks:
-        report.n_partitions_checked += 1
-        keys1 = keys(mask)
-        top = min(keys1)
-        if keys1.count(top) != 1:
-            continue
-        w = keys1.index(top)
-        keys2 = keys(everyone ^ mask)
-        top = min(keys2)
-        if keys2[w] != top or keys2.count(top) != 1:
-            continue
-        # |t| <= n, so each key gives back its score s exactly
-        scores1, scores2 = ([-((k + n) // span) for k in ks] for ks in (keys1, keys2))
-        s1, s2 = scores1[w], scores2[w]
-        if not (s1 * s2 > 0 or (s1 == 0 and s2 == 0)):
-            continue
-        # A strict sign switch for *any* candidate breaks score additivity
-        # across the parts (positives cancelled inside one part reappear in
-        # the union), and with it the consistency guarantee.
-        if any(a * b < 0 for a, b in zip(scores1, scores2)):
-            continue
-        size1 = mask.bit_count()
-        report.n_premise_satisfied += 1
-        report.premises.append(
-            PartitionPremise(
-                part_sizes=(size1, n - size1),
-                winner=ids[w],
-                scores_part1=dict(zip(ids, scores1)),
-                scores_part2=dict(zip(ids, scores2)),
+    for block, columns1, columns2 in _key_columns(masks, signs, totals, n, key):
+        report.n_partitions_checked += len(block)
+        for at, w in _unique_tops(columns1, columns2, strongest):
+            mask = block[at]
+            keys1 = [column[at] for column in columns1]
+            keys2 = [column[at] for column in columns2]
+            # a key's sign is minus its score's (s > 0 iff p > q, s = 0 iff
+            # p = q = 0), so the sign tests read the keys
+            k1, k2 = keys1[w], keys2[w]
+            if not (k1 * k2 > 0 or (k1 == 0 and k2 == 0)):
+                continue
+            # A strict sign switch for *any* candidate breaks score additivity
+            # across the parts (positives cancelled inside one part reappear in
+            # the union), and with it the consistency guarantee.
+            if any(a * b < 0 for a, b in zip(keys1, keys2)):
+                continue
+            # |t| <= n, so each key gives back its score s exactly
+            scores1, scores2 = (
+                [-((k + n) // span) for k in ks] for ks in (keys1, keys2)
             )
-        )
-        if ids[w] != winner_overall:
-            report.violations.append(
-                ConsistencyViolation(
+            s1, s2 = scores1[w], scores2[w]
+            size1 = mask.bit_count()
+            report.n_premise_satisfied += 1
+            report.premises.append(
+                PartitionPremise(
                     part_sizes=(size1, n - size1),
-                    winner_parts=ids[w],
-                    winner_overall=winner_overall,
-                    s_part1=s1,
-                    s_part2=s2,
+                    winner=ids[w],
+                    scores_part1=dict(zip(ids, scores1)),
+                    scores_part2=dict(zip(ids, scores2)),
                 )
             )
+            if ids[w] != winner_overall:
+                report.violations.append(
+                    ConsistencyViolation(
+                        part_sizes=(size1, n - size1),
+                        winner_parts=ids[w],
+                        winner_overall=winner_overall,
+                        s_part1=s1,
+                        s_part2=s2,
+                    )
+                )
     return report
 
 

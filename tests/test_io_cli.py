@@ -536,6 +536,29 @@ def test_cli_check_skips_consistency_for_approval3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["consistency"] is None
 
 
+def test_cli_check_random_skips_the_consistency_sweep_for_approval3(tmp_path, capsys):
+    # the random sweep draws mj3 elections; before, an approval3 election
+    # printed its partition count right after the skipped consistency line
+    config, ballots = _write_fixture(tmp_path, "smalltown")
+    args = ["check", "--config", config, "--ballots", ballots,
+            "--random", "5", "--seed", "1"]
+    capsys.readouterr()
+    assert main(args) == 0
+    reason = "the check decides partitions by the mj3 score, not by approval3"
+    assert capsys.readouterr().out.splitlines()[2:4] == [
+        f"consistency: skipped ({reason})",
+        f"random sweeps: 5 instances, consistency skipped ({reason}), 0 violation(s)",
+    ]
+    assert main(args + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["random_sweeps"] == {
+        "n_instances": 5,
+        "consistency_partitions": None,
+        "consistency_violations": None,
+        "consistency_skipped": reason,
+        "polarization_violations": 0,
+    }
+
+
 def test_cli_check_skips_consistency_above_limit(tmp_path, capsys):
     config, ballots = _write_fixture(tmp_path, "school3")
     capsys.readouterr()

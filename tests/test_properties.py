@@ -4,8 +4,8 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache, partial
-from itertools import combinations_with_replacement, product
-from operator import sub
+from itertools import accumulate, combinations_with_replacement, product
+from operator import itemgetter, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +37,8 @@ from gradevote import (
     search_no_show,
     search_no_show_exhaustive,
 )
+from gradevote import properties
+from gradevote.core import ElectionProfile
 from gradevote.fixtures import school_outing, school_outing_3grade
 from gradevote.mj3 import MJ3_SCALE_LABELS
 from gradevote.properties import (
@@ -49,14 +51,19 @@ from gradevote.properties import (
     NoUniqueWinnerError,
     PartitionCheckReport,
     PartitionPremise,
+    _addition_rows,
     _bump,
+    _check_masks,
+    _compositions,
     _cross_method_keys,
     _key_table,
     _outcome,
     _ranking,
     _top,
+    _unique_tops,
+    _unique_winners,
 )
-from gradevote.results import Tallies
+from gradevote.results import Tallies, require_rankable
 
 SCALE3 = GradeScale(MJ3_SCALE_LABELS)
 AB = [Candidate("a"), Candidate("b")]
@@ -554,6 +561,248 @@ def test_consistency_kernel_matches_the_reference_on_seeded_elections():
             seen[sampled] += 1
 
 
+# Before the block kernel, _check_masks built a list of every candidate's key
+# per mask and per part and took its min, count and index.  Kept verbatim as
+# the reference.
+
+def _reference_check_masks(
+    election: ElectionProfile,
+    vectors: Sequence[tuple[int, ...]],
+    masks: Iterable[int],
+    *,
+    sampled: bool,
+) -> PartitionCheckReport:
+    """Evaluate the consistency premise over 2-partitions given as bitmasks.
+
+    Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
+    part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
+    candidate's positive and negative ballot bitmasks.
+    """
+    require_rankable(election)
+    ids = [c.id for c in election.candidates]
+    n = len(vectors)
+    everyone = (1 << n) - 1
+    signs = [
+        [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
+        for c in range(len(ids))
+    ]
+    span = 2 * n + 1  # t lies in [-n, n], so s * span + t orders (s, t) lexicographically
+
+    def keys(part: int) -> list[int]:
+        # -(s * span + t) for each candidate's mj3 pair (s, t): the key
+        # (-p, q) if p > q else (q, -p) of mj3_keys as one integer
+        return [
+            q - p * span if p > q else q * span - p
+            for pos, neg in signs
+            for p in ((part & pos).bit_count(),)
+            for q in ((part & neg).bit_count(),)
+        ]
+
+    overall = keys(everyone)
+    top = min(overall)
+    if overall.count(top) != 1:
+        raise NoUniqueWinnerError("combined election has no unique winner")
+    winner_overall = ids[overall.index(top)]
+    report = PartitionCheckReport(
+        n_ballots=n,
+        n_partitions_checked=0,
+        n_premise_satisfied=0,
+        sampled=sampled,
+    )
+    for mask in masks:
+        report.n_partitions_checked += 1
+        keys1 = keys(mask)
+        top = min(keys1)
+        if keys1.count(top) != 1:
+            continue
+        w = keys1.index(top)
+        keys2 = keys(everyone ^ mask)
+        top = min(keys2)
+        if keys2[w] != top or keys2.count(top) != 1:
+            continue
+        # |t| <= n, so each key gives back its score s exactly
+        scores1, scores2 = ([-((k + n) // span) for k in ks] for ks in (keys1, keys2))
+        s1, s2 = scores1[w], scores2[w]
+        if not (s1 * s2 > 0 or (s1 == 0 and s2 == 0)):
+            continue
+        # A strict sign switch for *any* candidate breaks score additivity
+        # across the parts (positives cancelled inside one part reappear in
+        # the union), and with it the consistency guarantee.
+        if any(a * b < 0 for a, b in zip(scores1, scores2)):
+            continue
+        size1 = mask.bit_count()
+        report.n_premise_satisfied += 1
+        report.premises.append(
+            PartitionPremise(
+                part_sizes=(size1, n - size1),
+                winner=ids[w],
+                scores_part1=dict(zip(ids, scores1)),
+                scores_part2=dict(zip(ids, scores2)),
+            )
+        )
+        if ids[w] != winner_overall:
+            report.violations.append(
+                ConsistencyViolation(
+                    part_sizes=(size1, n - size1),
+                    winner_parts=ids[w],
+                    winner_overall=winner_overall,
+                    s_part1=s1,
+                    s_part2=s2,
+                )
+            )
+    return report
+
+
+def _leaning_election(rng, n, n_cands, lean):
+    """``n`` random ballots over ``n_cands`` candidates and their grade
+    positions.  With ``lean``, c1 is graded positive and the others negative
+    half the time, so fewer partitions switch a score's sign and many
+    meet the premise."""
+    candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
+    vectors = [
+        tuple(
+            (0 if c == 0 else 2) if lean and rng.random() < 0.5 else rng.randrange(3)
+            for c in range(n_cands)
+        )
+        for _ in range(n)
+    ]
+    election, ballots = _election(
+        [{c.id: MJ3_SCALE_LABELS[g] for c, g in zip(candidates, vec)} for vec in vectors],
+        candidates=candidates,
+    )
+    return election, ballots, vectors
+
+
+def _reference_report(election, vectors, masks, sampled=False):
+    """The reference's report, or None when it refuses a tied combined top."""
+    try:
+        return _reference_check_masks(election, vectors, masks, sampled=sampled)
+    except NoUniqueWinnerError:
+        return None
+
+
+# (ballots, candidates, lean): ranges of 4,095 to 32,767 masks, so 4 to 32
+# blocks of the kernel
+BLOCK_CASES = [
+    (13, 1, False), (13, 2, True), (14, 3, True), (13, 5, False),
+    (14, 8, False), (16, 4, False), (15, 2, False),
+]
+
+
+def test_block_kernel_matches_the_reference_on_labeled_ranges():
+    rng = random.Random(1729)
+    premises = Counter()
+    for n, n_cands, lean in BLOCK_CASES:
+        expected = None
+        while expected is None:  # redraw a tied combined top
+            election, ballots, vectors = _leaning_election(rng, n, n_cands, lean)
+            expected = _reference_report(election, vectors, range(1, 2 ** (n - 1)))
+        assert check_consistency(election, ballots, limit=n) == expected
+        premises[n_cands] += expected.n_premise_satisfied
+    # the 2- and 3-candidate cases reach the premise code often
+    assert premises[1] > 0 and premises[2] > 500 and premises[3] > 500
+
+
+def test_block_kernel_matches_the_reference_on_sampled_masks():
+    rng = random.Random(4242)
+    for n, n_cands, samples in ((16, 3, 2500), (15, 5, 1100), (16, 2, 1)):
+        expected = None
+        while expected is None:
+            election, ballots, vectors = _leaning_election(rng, n, n_cands, lean=True)
+            # the distinct draws check_consistency makes, in draw order
+            draw, masks = random.Random(n), {}
+            while len(masks) < samples:
+                masks.setdefault(draw.randint(1, 2 ** (n - 1) - 1))
+            expected = _reference_report(election, vectors, masks, sampled=True)
+        assert _check_masks(election, vectors, masks, sampled=True) == expected
+        assert check_consistency(
+            election, ballots, limit=n - 1, samples=samples, seed=n
+        ) == expected
+        assert expected.n_partitions_checked == samples
+
+
+def test_block_kernel_matches_the_reference_on_split_prefix_masks():
+    rng = random.Random(577)
+    checked = 0
+    for multiplicities in ((10, 8, 6, 5), (3, 2), (12,)):
+        candidates = [Candidate(f"c{i + 1}") for i in range(3)]
+        kinds = set()
+        while len(kinds) < len(multiplicities):
+            kinds.add(tuple(rng.randrange(3) for _ in candidates))
+        vectors = [vec for vec, m in zip(sorted(kinds), multiplicities) for _ in range(m)]
+        rng.shuffle(vectors)
+        election, ballots = _election(
+            [{c.id: MJ3_SCALE_LABELS[g] for c, g in zip(candidates, vec)}
+             for vec in vectors],
+            candidates=candidates,
+        )
+        # the kernel's input: ballots sorted kind by kind, one prefix mask
+        # per kind for every unordered split
+        offsets = list(accumulate(multiplicities, initial=0))
+        masks = [
+            sum(((1 << t) - 1) << at for t, at in zip(taken, offsets))
+            for taken in product(*(range(m + 1) for m in multiplicities))
+            if 0 < sum(taken) < len(vectors)
+            and taken <= tuple(m - t for m, t in zip(multiplicities, taken))
+        ]
+        expected = _reference_report(election, sorted(vectors), masks)
+        if expected is None:
+            with pytest.raises(NoUniqueWinnerError):
+                check_consistency_splits(election, ballots)
+        else:
+            assert check_consistency_splits(election, ballots) == expected
+            checked += expected.n_partitions_checked
+    assert checked > 2 * 1024  # the largest case spans three blocks
+
+
+def test_block_kernel_on_one_candidate_and_on_a_tied_top():
+    rng = random.Random(99)
+    election, ballots, vectors = _leaning_election(rng, 14, 1, lean=False)
+    expected = _reference_report(election, vectors, range(1, 2 ** 13))
+    assert check_consistency(election, ballots, limit=14) == expected
+    assert expected.premises
+    # c1 and c2 graded alike on every ballot: their keys tie in every part
+    vectors = [(g, g, (g + 1) % 3) for g in (0, 0, 1, 2, 0, 1, 0, 2, 0, 0, 1, 0, 2)]
+    candidates = [Candidate(cid) for cid in ("c1", "c2", "c3")]
+    election, ballots = _election(
+        [{c.id: MJ3_SCALE_LABELS[g] for c, g in zip(candidates, vec)} for vec in vectors],
+        candidates=candidates,
+    )
+    assert _reference_report(election, vectors, range(1, 2 ** 12)) is None
+    with pytest.raises(NoUniqueWinnerError):
+        check_consistency(election, ballots, limit=13)
+
+
+def test_rival_filter_keeps_exactly_the_shared_unique_tops(monkeypatch):
+    blocks = []
+
+    def spy(keys1, keys2, strongest):
+        found = _unique_tops(keys1, keys2, strongest)
+        blocks.append((keys1, keys2, found))
+        return found
+
+    monkeypatch.setattr(properties, "_unique_tops", spy)
+    rng = random.Random(8128)
+    shared = 0  # blocks with more than one top, which must come out interleaved
+    while shared < 4 or len(blocks) < 24:
+        n, n_cands = rng.randint(11, 13), rng.randint(2, 4)
+        election, ballots, vectors = _leaning_election(rng, n, n_cands, lean=False)
+        if _reference_report(election, vectors, ()) is None:  # a tied combined top
+            continue
+        start = len(blocks)
+        check_consistency(election, ballots, limit=n)
+        check_consistency(election, ballots, limit=n - 1, samples=2 ** n // 5, seed=n)
+        for keys1, keys2, found in blocks[start:]:
+            expected = []
+            for i, (part1, part2) in enumerate(zip(zip(*keys1), zip(*keys2))):
+                top1, top2 = min(part1), min(part2)
+                w = part1.index(top1)
+                if part1.count(top1) == part2.count(top2) == 1 and part2[w] == top2:
+                    expected.append((i, w))
+            assert found == expected
+            shared += len({w for _, w in found}) > 1
+
+
 def test_sample_count_must_be_positive():
     fx = school_outing_3grade()
     election = build_profiles(fx.scale, fx.candidates, fx.ballots)
@@ -998,6 +1247,32 @@ def test_exhaustive_no_show_matches_the_reference(method):
     assert search_no_show_exhaustive(
         max_voters=5, method=method
     ) == _reference_no_show_exhaustive(5, method)
+
+
+@pytest.mark.parametrize("method", ["mj3", "mj", "approval3"])
+def test_exhaustive_tables_decide_every_vector_like_the_reference(method):
+    # On three grades the exhaustive search finds no counterexample, so its
+    # report cannot show a wrongly decided vector.  Every instance up to 4
+    # voters, from the tables built as the search builds them, must elect
+    # the reference's winner, and skip its ties and rejections.
+    ids = ("a", "b")
+    seen = Counter()
+    for n in range(1, 5):
+        tallies = list(_compositions(n, 3))
+        key_rows, approved_rows = _addition_rows(method, tallies, n, 3)
+        for pair in product(range(len(tallies)), repeat=len(ids)):
+            pick = itemgetter(*pair)
+            rows = (pick(key_rows), approved_rows and pick(approved_rows))
+            base = [tallies[i] for i in pair]
+            outcomes = list(_with_each_ballot(method, ids, base, n, 3))
+            assert list(_unique_winners(*rows)) == [
+                (vector, ids.index(after.winner))
+                for vector, after in outcomes
+                if after.kind == "winner"
+            ]
+            seen.update(after.kind for _, after in outcomes)
+    assert seen["winner"] and seen["tie"]
+    assert bool(seen["rejected"]) is (method == "approval3")
 
 
 SCALE4 = GradeScale(("g0", "g1", "g2", "g3"))
