@@ -10,10 +10,12 @@ choose, and prints one summary line per sweep:
 * random polarization sweep (margin preservation under weak-vote conversion)
 
 Exit status is 0 when every sweep comes back clean and 3 when any violation
-is found, mirroring `gradevote check`.
+is found, mirroring `gradevote check`.  If standard output is closed early
+(say, by `| head -1`), the script stops without a traceback and exits 1.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -49,7 +51,18 @@ def main(argv=None):
         help="electorate cap for the exhaustive searches (default 4)",
     )
     args = parser.parse_args(argv)
+    try:
+        status = _sweeps(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so the flush at exit
+        # does not fail again (the recipe in the `signal` module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
+
+def _sweeps(args):
     failures = 0
 
     started = time.perf_counter()

@@ -24,9 +24,12 @@ rows.  File-level problems (unreadable input, text the csv module refuses,
 such as a field over its size limit, malformed header) raise
 :class:`ValidationError`.
 
-:func:`parse_ballots` returns one :class:`Ballot` per voter, for the property
-harness; :func:`count_ballots` returns only the per-grade counts a tally
-needs, and counts a CSV file without rejected rows column by column.
+A CSV file is read in one pass into voter, candidate and grade columns;
+each row check runs over a whole column, and only a check that fails walks
+the rows to name them.  :func:`parse_ballots` groups the kept rows into one
+:class:`Ballot` per voter, for the property harness; :func:`count_ballots`
+counts them straight into the per-grade counts a tally needs, with no
+ballot objects.
 """
 
 import csv
@@ -37,8 +40,8 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .approval import borderline_candidates
@@ -218,13 +221,6 @@ def _is_json(source: "str | Path | io.TextIOBase", text: str) -> bool:
     return text.lstrip()[:1] in ("[", "{")
 
 
-def _csv_rows(text: str) -> list[list[str]]:
-    try:
-        return list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise ValidationError(f"ballots are not valid CSV: {exc}") from None
-
-
 def parse_ballots(
     source: "str | Path | io.TextIOBase",
     scale: GradeScale,
@@ -240,7 +236,12 @@ def parse_ballots(
     text = _read_text(source)
     if _is_json(source, text):
         return _parse_ballots_json(text, scale, candidates)
-    return _parse_ballots_csv(_csv_rows(text), scale, candidates)
+    with _gc_paused():
+        (voters, cids, grades), _, report, roster = _read_csv(text, scale, candidates)
+        ballots: dict[str, dict[str, str]] = {}
+        for voter, cid, grade in zip(voters, cids, grades):
+            ballots.setdefault(voter, {})[cid] = grade
+        return [Ballot(voter, g) for voter, g in ballots.items()], report, roster
 
 
 def count_ballots(
@@ -251,22 +252,25 @@ def count_ballots(
     """Read graded ballots straight into per-grade counts.
 
     Returns what ``build_profiles`` makes of :func:`parse_ballots`' result,
-    with the same report and roster.  A CSV file in which no row would be
-    rejected or skipped is counted column by column and never becomes
-    :class:`Ballot` objects; any other input is read row by row.
+    with the same report and roster.  A CSV file is counted from its columns
+    and never becomes :class:`Ballot` objects.
     """
     text = _read_text(source)
     if _is_json(source, text):
         ballots, report, roster = _parse_ballots_json(text, scale, candidates)
-    else:
-        with _gc_paused():
-            counted = _count_clean_csv(text, scale, candidates)
-        if counted is not None:
-            return counted
-        ballots, report, roster = _parse_ballots_csv(
-            _csv_rows(text), scale, candidates
-        )
-    return build_profiles(scale, roster, ballots), report, roster
+        return build_profiles(scale, roster, ballots), report, roster
+    with _gc_paused():
+        columns, tally, report, roster = _read_csv(text, scale, candidates)
+        # free the columns (one reference per row) before the collector
+        # resumes: its first pass would walk them all
+        del columns
+        n_voters = report.n_ballots
+        profiles = []
+        for candidate in roster:
+            counts = [tally[candidate.id, label] for label in scale.labels]
+            counts[-1] += n_voters - sum(counts)
+            profiles.append(GradeProfile(candidate.id, tuple(counts)))
+    return ElectionProfile(scale, roster, tuple(profiles), n_voters), report, roster
 
 
 @contextmanager
@@ -282,105 +286,104 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _count_clean_csv(
+def _read_csv(
     text: str, scale: GradeScale, candidates: Sequence[Candidate]
-) -> "tuple[ElectionProfile, ParseReport, tuple[Candidate, ...]] | None":
-    """Count long-format CSV column-wise, or ``None`` if the row-by-row
-    reader would reject or skip any row (or the file has no data rows).
+) -> tuple[list[list[str]], Counter, ParseReport, tuple[Candidate, ...]]:
+    """Read long-format CSV into the voter, candidate and grade columns of the
+    rows it keeps, in file order, with their ``(candidate, grade)`` tally, the
+    report and the roster.
 
-    Every check is one pass of a C-level builtin over a column; ``zip(*rows)``
-    is avoided, since it passes one argument per row.
+    The checks run in the order a row-by-row reader would apply them: blank
+    or ragged row, empty voter, unknown candidate (after roster inference),
+    unknown grade, repeated ``(voter, candidate)``.  Each is first one pass of
+    a C-level builtin over a column (``zip(*rows)`` is avoided, since it
+    passes one argument per row).  Only a check that finds a bad row walks
+    the rows, to give each its row number and reason, and drops them before
+    the next check; a row thus gets at most one issue.
     """
-    rows = _csv_rows(text)
-    n_rows = len(rows) - 1
-    if (
-        n_rows < 1
-        or tuple(cell.strip() for cell in rows[0]) != BALLOT_CSV_HEADER
-        or set(map(len, rows)) != {3}
-    ):
-        return None
-    voters, cids, grades = [
-        list(map(str.strip, map(itemgetter(i), islice(rows, 1, None))))
-        for i in range(3)
-    ]
-    # the row lists are the largest allocation: free them before the pair
-    # set below is built, so the two never peak together
-    del rows
-    registered = {c.id: c for c in candidates}
-    known = registered or dict.fromkeys(cids)
-    if "" in voters or "" in known:
-        return None
-    labels = scale.labels
-    tally = Counter(zip(cids, grades))
-    if any(cid not in known or grade not in labels for cid, grade in tally):
-        return None
-    if len(set(zip(voters, cids))) != n_rows:
-        return None
-    n_voters = len(set(voters))
-    roster = tuple(registered.values()) or tuple(Candidate(cid) for cid in known)
-    profiles = []
-    for candidate in roster:
-        counts = [tally[candidate.id, label] for label in labels]
-        counts[-1] += n_voters - sum(counts)
-        profiles.append(GradeProfile(candidate.id, tuple(counts)))
-    report = ParseReport(n_rows=n_rows, n_ballots=n_voters)
-    return ElectionProfile(scale, roster, tuple(profiles), n_voters), report, roster
-
-
-def _parse_ballots_csv(
-    rows: list[list[str]], scale: GradeScale, candidates: Sequence[Candidate]
-) -> tuple[list[Ballot], ParseReport, tuple[Candidate, ...]]:
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValidationError(f"ballots are not valid CSV: {exc}") from None
     report = ParseReport()
     if not rows:
         report.notes.append("empty input: no ballots")
-        return [], report, tuple(candidates)
-    header = tuple(cell.strip() for cell in rows[0])
+        return [[], [], []], Counter(), report, tuple(candidates)
+    header = tuple(cell.strip() for cell in rows.pop(0))
     if header != BALLOT_CSV_HEADER:
         raise ValidationError(
             f"malformed header {header!r}; expected {BALLOT_CSV_HEADER!r}"
         )
+    issues = report.issues
+    report.n_rows = len(rows)  # less the blank rows, which are skipped
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if set(map(len, rows)) - {3}:
+        bad = [i for i, row in enumerate(rows) if len(row) != 3]
+        for i in bad:
+            if any(map(str.strip, rows[i])):
+                issues.append(
+                    ParseIssue(lines[i], None, f"expected 3 fields, got {len(rows[i])}")
+                )
+            else:
+                report.n_rows -= 1
+        rows, lines = _drop(bad, rows, lines)
+    voters, cids, grades = [
+        list(map(str.strip, map(itemgetter(i), rows))) for i in range(3)
+    ]
+    # the row lists are the largest allocation: free them before the pair
+    # set below is built, so the two never peak together
+    del rows
+    if "" in voters:
+        bad = [i for i, voter in enumerate(voters) if not voter]
+        for i in bad:
+            if cids[i] or grades[i]:
+                issues.append(ParseIssue(lines[i], None, "empty voter_id"))
+            else:
+                report.n_rows -= 1
+        voters, cids, grades, lines = _drop(bad, voters, cids, grades, lines)
     registered = {c.id: c for c in candidates}
-    infer = not registered
-    roster: dict[str, Candidate] = dict(registered)
-    grades: dict[str, dict[str, str]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        report.n_rows += 1
-        if len(row) != 3:
-            report.issues.append(
-                ParseIssue(line_no, None, f"expected 3 fields, got {len(row)}")
-            )
-            continue
-        voter, cid, grade = (cell.strip() for cell in row)
-        if not voter:
-            report.issues.append(ParseIssue(line_no, None, "empty voter_id"))
-            continue
-        if infer and cid and cid not in roster:
-            roster[cid] = Candidate(cid)
-        if cid not in roster:
-            report.issues.append(
-                ParseIssue(line_no, voter, f"unknown candidate {cid!r}")
-            )
-            continue
-        if grade not in scale.labels:
-            report.issues.append(
-                ParseIssue(line_no, voter, f"unknown grade {grade!r}")
-            )
-            continue
-        ballot = grades.setdefault(voter, {})
-        if cid in ballot:
-            report.issues.append(
-                ParseIssue(line_no, voter, f"duplicate grade for candidate {cid!r}")
-            )
-            continue
-        ballot[cid] = grade
+    known = registered or dict.fromkeys(cids)
+    if not registered:
+        known.pop("", None)  # an inferred roster never holds an empty id
+    labels = scale.labels
+    tally = Counter(zip(cids, grades))
+    wrong = [key for key in tally if key[0] not in known or key[1] not in labels]
+    if wrong:
+        for key in wrong:
+            del tally[key]
+        bad = [i for i, key in enumerate(zip(cids, grades)) if key not in tally]
+        for i in bad:
+            reason = (f"unknown candidate {cids[i]!r}" if cids[i] not in known
+                      else f"unknown grade {grades[i]!r}")
+            issues.append(ParseIssue(lines[i], voters[i], reason))
+        voters, cids, grades, lines = _drop(bad, voters, cids, grades, lines)
+    if len(set(zip(voters, cids))) != len(voters):
+        seen: set[tuple[str, str]] = set()
+        bad = []
+        for i, pair in enumerate(zip(voters, cids)):
+            if pair not in seen:
+                seen.add(pair)
+                continue
+            bad.append(i)
+            tally[cids[i], grades[i]] -= 1
+            issues.append(ParseIssue(
+                lines[i], voters[i], f"duplicate grade for candidate {cids[i]!r}"
+            ))
+        voters, cids, grades, lines = _drop(bad, voters, cids, grades, lines)
+    issues.sort(key=attrgetter("row"))
     if report.n_rows == 0:
         report.notes.append("empty input: no ballots")
-    ballots = [Ballot(voter, dict(g)) for voter, g in grades.items()]
-    _flag_blank_ballots(ballots, report)
-    report.n_ballots = len(ballots)
-    return ballots, report, tuple(roster.values())
+    report.n_ballots = len(set(voters))
+    roster = tuple(registered.values()) or tuple(map(Candidate, known))
+    return [voters, cids, grades], tally, report, roster
+
+
+def _drop(bad: list[int], *columns: Sequence) -> list[list]:
+    """Each column (all of one length) without the positions in ``bad``."""
+    keep = [True] * len(columns[0])
+    for i in bad:
+        keep[i] = False
+    return [list(compress(column, keep)) for column in columns]
 
 
 def _parse_ballots_json(

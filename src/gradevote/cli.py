@@ -16,7 +16,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .approval import approval_rank, borderline_candidates
@@ -33,7 +33,7 @@ from .ballot_io import (
     render_result,
 )
 from .bracket import bracket_elect
-from .core import Ballot, ConfigError, ElectionProfile, VoteError, build_profiles
+from .core import ConfigError, VoteError, build_profiles
 from .fixtures import FIXTURES, load_fixture, render_fixture, write_wire_files
 from .methods import RANKERS
 from .properties import (
@@ -132,23 +132,6 @@ def _ballot_source(args: argparse.Namespace):
     return sys.stdin if args.ballots == "-" else args.ballots
 
 
-@dataclass
-class _GradeElection:
-    config: ElectionConfig
-    ballots: list[Ballot]
-    election: ElectionProfile
-    report: ParseReport
-
-
-def _load_grade_election(args: argparse.Namespace, config: ElectionConfig) -> _GradeElection:
-    ballots, report, candidates = parse_ballots(
-        _ballot_source(args), config.scale, config.candidates
-    )
-    _print_grade_report(report, candidates)
-    election = build_profiles(config.scale, candidates, ballots)
-    return _GradeElection(config, ballots, election, report)
-
-
 def _print_grade_report(report: ParseReport, candidates: tuple) -> None:
     _print_report(report)
     if not candidates:
@@ -225,8 +208,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         value = getattr(args, flag)
         if value is not None and value < least:
             raise ConfigError(f"--{flag} must be at least {least}, got {value}")
-    loaded = _load_grade_election(args, config)
-    election, ballots = loaded.election, loaded.ballots
+    ballots, parsed, candidates = parse_ballots(
+        _ballot_source(args), config.scale, config.candidates
+    )
+    _print_grade_report(parsed, candidates)
+    election = build_profiles(config.scale, candidates, ballots)
     limit = args.limit if args.limit is not None else config.limit
     seed = args.seed if args.seed is not None else config.seed
 
@@ -351,7 +337,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "result: PROPERTY VIOLATIONS FOUND" if violations_found else "result: ok"
     )
     _emit((json.dumps(report, indent=2) if args.format == "json" else "\n".join(lines)) + "\n")
-    if not loaded.report.ok:
+    if not parsed.ok:
         return 1
     return 3 if violations_found else 0
 

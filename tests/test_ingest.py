@@ -1,18 +1,23 @@
-"""Counts-only ballot ingest: ``count_ballots`` against the row-by-row reader.
+"""One CSV reader: ``parse_ballots`` and ``count_ballots`` against the
+row-by-row reference.
 
-``count_ballots`` counts a clean long-format CSV column by column and reads
-any other input row by row.  Either way it must return exactly what
-``build_profiles`` makes of ``parse_ballots``' result, with the same report
-and roster, and ``gradevote tally`` must print the same bytes as when it ran
-on that reference.
+Both public readers take the columns of one column-wise pass over a CSV file.
+On any input they must return what the row-by-row reader below (the reader
+they replaced, kept verbatim) makes of it: the same ballots, or the counts
+``build_profiles`` makes of them, with the same report, issue order and
+roster, and ``gradevote tally`` must print the same bytes as when it ran on
+that reference.
 """
 
+import csv
 import io
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradevote import (
+    Ballot,
     Candidate,
     GradeScale,
     ValidationError,
@@ -21,21 +26,110 @@ from gradevote import (
     parse_ballots,
 )
 from gradevote import ballot_io, cli
+from gradevote.ballot_io import (
+    BALLOT_CSV_HEADER,
+    ParseIssue,
+    ParseReport,
+    _flag_blank_ballots,
+)
 from gradevote.cli import main
 from gradevote.fixtures import FIXTURES
 
 
+# ---------------------------------------------------------------------------
+# the row-by-row reference
+# ---------------------------------------------------------------------------
+
+def _csv_rows(text: str) -> list[list[str]]:
+    try:
+        return list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValidationError(f"ballots are not valid CSV: {exc}") from None
+
+
+def _parse_ballots_csv(
+    rows: list[list[str]], scale: GradeScale, candidates: Sequence[Candidate]
+) -> tuple[list[Ballot], ParseReport, tuple[Candidate, ...]]:
+    report = ParseReport()
+    if not rows:
+        report.notes.append("empty input: no ballots")
+        return [], report, tuple(candidates)
+    header = tuple(cell.strip() for cell in rows[0])
+    if header != BALLOT_CSV_HEADER:
+        raise ValidationError(
+            f"malformed header {header!r}; expected {BALLOT_CSV_HEADER!r}"
+        )
+    registered = {c.id: c for c in candidates}
+    infer = not registered
+    roster: dict[str, Candidate] = dict(registered)
+    grades: dict[str, dict[str, str]] = {}
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        report.n_rows += 1
+        if len(row) != 3:
+            report.issues.append(
+                ParseIssue(line_no, None, f"expected 3 fields, got {len(row)}")
+            )
+            continue
+        voter, cid, grade = (cell.strip() for cell in row)
+        if not voter:
+            report.issues.append(ParseIssue(line_no, None, "empty voter_id"))
+            continue
+        if infer and cid and cid not in roster:
+            roster[cid] = Candidate(cid)
+        if cid not in roster:
+            report.issues.append(
+                ParseIssue(line_no, voter, f"unknown candidate {cid!r}")
+            )
+            continue
+        if grade not in scale.labels:
+            report.issues.append(
+                ParseIssue(line_no, voter, f"unknown grade {grade!r}")
+            )
+            continue
+        ballot = grades.setdefault(voter, {})
+        if cid in ballot:
+            report.issues.append(
+                ParseIssue(line_no, voter, f"duplicate grade for candidate {cid!r}")
+            )
+            continue
+        ballot[cid] = grade
+    if report.n_rows == 0:
+        report.notes.append("empty input: no ballots")
+    ballots = [Ballot(voter, dict(g)) for voter, g in grades.items()]
+    _flag_blank_ballots(ballots, report)
+    report.n_ballots = len(ballots)
+    return ballots, report, tuple(roster.values())
+
+
+def reference_parse(source, scale, candidates=()):
+    """``parse_ballots`` with the row-by-row reader for CSV input."""
+    text = ballot_io._read_text(source)
+    if ballot_io._is_json(source, text):
+        return ballot_io._parse_ballots_json(text, scale, candidates)
+    return _parse_ballots_csv(_csv_rows(text), scale, candidates)
+
+
 def reference_count(source, scale, candidates=()):
     """The row-by-row path: ``Ballot`` objects first, then their counts."""
-    ballots, report, roster = parse_ballots(source, scale, candidates)
+    ballots, report, roster = reference_parse(source, scale, candidates)
     return build_profiles(scale, roster, ballots), report, roster
 
 
-def _outcome(count, text, scale, candidates):
+def _outcome(read, text, scale, candidates):
     try:
-        return count(io.StringIO(text), scale, candidates)
+        return read(io.StringIO(text), scale, candidates)
     except ValidationError as exc:
         return ("ValidationError", str(exc))
+
+
+def _reads_like_reference(text, scale, candidates):
+    """Both readers give what the reference gives, or the same error."""
+    for read, reference in ((parse_ballots, reference_parse),
+                            (count_ballots, reference_count)):
+        assert (_outcome(read, text, scale, candidates)
+                == _outcome(reference, text, scale, candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +142,7 @@ VOTERS = ("v1", "v2", "v3", "v,4", "v\n5", "v 6")
 CANDIDATES = ("a", "b", "c", "d,e", "f\ng")
 PADS = ("", "", " ", "\t", "  ")
 DIRT = ("blank", "spaces", "ragged", "grade", "candidate", "duplicate",
-        "voter", "empty candidate")
+        "voter", "empty candidate", "candidate and grade")
 
 
 def _cell(draw, value):
@@ -61,8 +155,8 @@ def _cell(draw, value):
 
 @st.composite
 def elections(draw):
-    """``(text, scale, candidates, clean)``: a long-format CSV, the scale and
-    registered roster to read it with, and whether every row is valid."""
+    """``(text, scale, candidates)``: a long-format CSV, clean or dirty, and
+    the scale and registered roster to read it with."""
     scale = GradeScale(LABELS[:draw(st.integers(2, 5))])
     registered = draw(st.booleans())
     ids = draw(st.lists(st.sampled_from(CANDIDATES), min_size=1, max_size=4, unique=True))
@@ -88,6 +182,8 @@ def elections(draw):
             rows.insert(at, ["v2", "zz", scale.labels[0]])
         elif kind == "duplicate":
             rows.insert(at, list(rows[draw(st.integers(0, len(rows) - 1))]))
+        elif kind == "candidate and grade":  # the candidate check comes first
+            rows.insert(at, ["v2", draw(st.sampled_from(["zz", ""])), "bogus"])
         elif kind == "voter":
             rows.insert(at, ["", ids[0], scale.labels[0]])
         else:
@@ -100,19 +196,13 @@ def elections(draw):
     end = draw(st.sampled_from(["\n", "\r\n"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
     text = bom + end.join([header, *body]) + draw(st.sampled_from([end, ""]))
-    # a row naming a new candidate is valid when the roster is inferred
-    harmless = set() if registered else {"candidate"}
-    return text, scale, candidates, set(dirt) <= harmless
+    return text, scale, candidates
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(elections())
 def test_count_ballots_matches_the_row_by_row_reader(case):
-    text, scale, candidates, clean = case
-    got = _outcome(count_ballots, text, scale, candidates)
-    assert got == _outcome(reference_count, text, scale, candidates)
-    counted = ballot_io._count_clean_csv(text.removeprefix("\ufeff"), scale, candidates)
-    assert (counted is not None) == clean
+    _reads_like_reference(*case)
 
 
 @pytest.mark.parametrize("text", [
@@ -128,9 +218,7 @@ def test_count_ballots_matches_the_row_by_row_reader(case):
 ])
 @pytest.mark.parametrize("candidates", [(), (Candidate("a"), Candidate("b"))])
 def test_count_ballots_matches_on_empty_json_and_malformed_input(text, candidates):
-    scale = GradeScale(LABELS[:3])
-    got = _outcome(count_ballots, text, scale, candidates)
-    assert got == _outcome(reference_count, text, scale, candidates)
+    _reads_like_reference(text, GradeScale(LABELS[:3]), candidates)
 
 
 def test_count_ballots_completes_ungraded_candidates_to_the_worst_grade():
@@ -145,18 +233,40 @@ def test_count_ballots_completes_ungraded_candidates_to_the_worst_grade():
 
 
 def test_a_clean_file_never_builds_ballots(tmp_path, monkeypatch, capsys):
+    """Neither a clean file nor one with rejected rows becomes ``Ballot``s."""
     assert main(["demo", "smalltown", "--outdir", str(tmp_path)]) == 0
-    expected = capsys.readouterr().out
+    clean = ["tally", "--config", str(tmp_path / "smalltown.config.json"),
+             "--ballots", str(tmp_path / "smalltown.ballots.csv")]
+    dirty = ["tally", *_school_with_rejected_rows(tmp_path)]
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "count_ballots", reference_count)
+        expected = [_tally(argv, capsys) for argv in (clean, dirty)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the row-by-row path ran on a clean file")
+        raise AssertionError("a CSV file was read into Ballot objects")
 
-    monkeypatch.setattr(ballot_io, "_parse_ballots_csv", refuse)
+    monkeypatch.setattr(ballot_io, "Ballot", refuse)
     monkeypatch.setattr(ballot_io, "build_profiles", refuse)
     monkeypatch.setattr(cli, "build_profiles", refuse)
-    rc = main(["tally", "--config", str(tmp_path / "smalltown.config.json"),
-               "--ballots", str(tmp_path / "smalltown.ballots.csv")])
-    assert (rc, capsys.readouterr().out) == (0, expected)
+    assert [_tally(argv, capsys) for argv in (clean, dirty)] == expected
+    assert [rc for rc, _, _ in expected] == [0, 1]
+
+
+def test_a_file_with_a_rejected_row_is_read_in_one_csv_pass(monkeypatch):
+    calls = []
+    reader = csv.reader
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counted)
+    text = "voter_id,candidate,grade\nv1,a,top\nv2,a,bogus\nv2,b,top\n"
+    for read in (count_ballots, parse_ballots):
+        calls.clear()
+        _, report, _ = read(io.StringIO(text), GradeScale(LABELS[:3]))
+        assert (len(report.issues), len(calls)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +298,20 @@ def test_tally_output_is_unchanged_on_every_fixture(name, fmt, tmp_path, monkeyp
     assert _same_as_reference(argv, monkeypatch, capsys)[0] == 0
 
 
-@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-def test_tally_output_is_unchanged_with_rejected_rows(fmt, tmp_path, monkeypatch, capsys):
+def _school_with_rejected_rows(tmp_path):
+    """``--config``/``--ballots`` flags for the school fixture's files, with
+    four rows the reader rejects and a blank line appended to the ballots."""
     assert main(["demo", "school", "--outdir", str(tmp_path)]) == 0
-    capsys.readouterr()
     ballots = tmp_path / "school.ballots.csv"
     with open(ballots, "a", encoding="utf-8") as fh:
         fh.write("x01,zoo,Terrific\n\nx02,nowhere,Nice\nx03,zoo\ne01,zoo,Nice\n")
-    argv = ["tally", "--config", str(tmp_path / "school.config.json"),
-            "--ballots", str(ballots), "--format", fmt]
+    return ["--config", str(tmp_path / "school.config.json"), "--ballots", str(ballots)]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_tally_output_is_unchanged_with_rejected_rows(fmt, tmp_path, monkeypatch, capsys):
+    argv = ["tally", *_school_with_rejected_rows(tmp_path), "--format", fmt]
+    capsys.readouterr()
     rc, _, err = _same_as_reference(argv, monkeypatch, capsys)
     assert rc == 1
     assert err.count("(row rejected)") == 4

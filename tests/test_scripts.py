@@ -1,6 +1,10 @@
-"""Smoke tests for the scripts under ``scripts/``, run in-process."""
+"""Smoke tests for the scripts under ``scripts/``, run in-process, and one
+run as a child process whose reader goes away."""
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,20 @@ def test_property_sweeps_script_runs_clean(capsys):
         line.startswith("method agreement: 5022 elections: ok") for line in lines
     )
     assert lines[-1] == "all sweeps clean"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_property_sweeps_script_exits_quietly_on_a_closed_pipe(unbuffered):
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "run_property_sweeps.py"), "--instances", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    child.stdout.close()  # the reader is gone before the first line
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (1, "")
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
