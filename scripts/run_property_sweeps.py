@@ -10,7 +10,8 @@ choose, and prints one summary line per sweep:
 * random polarization sweep (margin preservation under weak-vote conversion)
 
 Exit status is 0 when every sweep comes back clean and 3 when any violation
-is found, mirroring `gradevote check`.  If standard output is closed early
+is found, mirroring `gradevote check`, and 2 for an argument that would
+leave a sweep with nothing to check.  If standard output is closed early
 (say, by `| head -1`), the script stops without a traceback and exits 1.
 """
 
@@ -51,6 +52,10 @@ def main(argv=None):
         help="electorate cap for the exhaustive searches (default 4)",
     )
     args = parser.parse_args(argv)
+    for flag, least in (("instances", 1), ("max_voters", 2), ("exhaustive_voters", 1)):
+        value = getattr(args, flag)
+        if value < least:  # a sweep of nothing would still report itself clean
+            parser.error(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
     try:
         status = _sweeps(args)
         sys.stdout.flush()

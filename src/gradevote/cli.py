@@ -9,12 +9,13 @@ Three verbs:
 * ``gradevote demo``  — tally a built-in fixture and optionally write its
   config and ballot files for further experiments.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 property violation found by ``check``.
+Exit codes: 0 success, 1 validation failure (or standard output closed
+early), 2 configuration error, 3 property violation found by ``check``.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -364,13 +365,18 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VoteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -142,12 +142,6 @@ class ElectionProfile:
                 return prof
         raise ValidationError(f"unknown candidate id {candidate_id!r}")
 
-    def candidate_of(self, candidate_id: str) -> Candidate:
-        for cand in self.candidates:
-            if cand.id == candidate_id:
-                return cand
-        raise ValidationError(f"unknown candidate id {candidate_id!r}")
-
 
 def build_profiles(
     scale: GradeScale,

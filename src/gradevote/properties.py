@@ -41,10 +41,10 @@ rankers remain its test oracle.
 
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cache, partial
 from itertools import accumulate, compress, islice, product, repeat
+from math import prod
 from operator import add, and_, itemgetter, lt
 
 from .approval import ApprovalTally, classify_block
@@ -127,6 +127,9 @@ def outcome_from_counts(
     sum to ``n_voters`` > 0; that is not checked here.
     """
     return _outcome(ids, _top(*_key_table(method, tallies, n_voters)))
+
+
+_MAX_VECTORS = 250_000  # grade vectors the no-show search and the probe try at most
 
 
 def _bump(counts: tuple[int, ...], grade: int, step: int) -> tuple[int, ...]:
@@ -235,40 +238,38 @@ def _ballot_vectors(
 _BLOCK = 1 << 10  # masks decided together; a range block shares its high bits
 
 
-def _part_key(n: int, index: int) -> int:
-    """The ``mj3`` key of a part where a candidate has ``p`` positive and ``q``
-    negative of ``n`` grades, at ``index = p * (n + 1) + q``: the key ``(-p, q)
-    if p > q else (q, -p)`` of ``mj3_keys`` as the one integer
-    ``-(s * span + t)``.  Part 2's index is the total index less part 1's."""
-    p, q = divmod(index, n + 1)
-    span = 2 * n + 1  # t lies in [-n, n], so s * span + t orders (s, t) lexicographically
-    return q - p * span if p > q else q * span - p
+def _part_keys(n: int, tallies: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The ``mj3`` key of each part tally ``(p, _, q)`` of ``n`` grades: the
+    pair ``(a, b)`` of :func:`gradevote.mj3.mj3_keys` as the one integer
+    ``a * (2n + 1) + b``, which orders as the pair since ``|b| <= n``."""
+    span = 2 * n + 1
+    return [a * span + b for a, b in mj3_keys(tallies, n)]
 
 
-def _indices(pos: int, neg: int, side: int, masks: Iterable[int]) -> list[int]:
-    """``p * side + q`` of each mask's part 1, by popcounts against one
-    candidate's positive and negative ballot bitmasks."""
-    return list(map(
-        add,
-        map(side.__mul__, map(int.bit_count, map(pos.__and__, masks))),
-        map(int.bit_count, map(neg.__and__, masks)),
-    ))
+def _popcounts(bits: int, masks: Iterable[int]) -> list[int]:
+    """How many of ``bits`` each mask has set."""
+    return list(map(int.bit_count, map(bits.__and__, masks)))
 
 
 def _key_columns(
-    masks: Iterable[int], signs: list, totals: list[int], n: int, key: Callable
+    masks: Iterable[int], signs: list, totals: list[tuple[int, int, int]], n: int
 ) -> Iterator[tuple[Sequence[int], list[Sequence[int]], list[Sequence[int]]]]:
     """Each block of at most ``_BLOCK`` masks, in order, with per candidate a
-    column of part-1 keys and one of part-2 keys.  A range is cut at multiples
-    of ``_BLOCK``: a candidate's indices are then a base per block plus a
-    low-bits table built once, looked up in slices of one key list, part 2's
-    reversed (``table[total - base::-1][i]`` is the key at ``total - base -
-    i``).  Other masks have their indices counted per block."""
+    column of part-1 keys and one of part-2 keys (:func:`_part_keys`), from
+    popcounts against the candidate's positive and negative ballot bitmasks.
+    A range is cut at multiples of ``_BLOCK``: a candidate's part index ``p *
+    (n + 1) + q`` is then a base per block plus a low-bits table built once,
+    looked up in slices of one key list of every index, part 2's reversed
+    (``table[total - base::-1][i]`` is the key at ``total - base - i``).
+    Other masks have their part tallies counted per block."""
     side = n + 1
     if isinstance(masks, range) and masks.step == 1:
-        table = list(map(key, range(side * side)))
-        low = [itemgetter(*_indices(pos, neg, side, range(min(_BLOCK, masks.stop))))
+        table = _part_keys(n, [(p, 0, q) for p in range(side) for q in range(side)])
+        first = range(min(_BLOCK, masks.stop))
+        low = [itemgetter(*map(add, map(side.__mul__, _popcounts(pos, first)),
+                               _popcounts(neg, first)))
                for pos, neg in signs]
+        ends = [p * side + q for p, _, q in totals]
         for start in range(masks.start & -_BLOCK, masks.stop, _BLOCK):
             block = range(max(start, masks.start), min(start + _BLOCK, masks.stop))
             cut = slice(block.start - start, block.stop - start)
@@ -277,16 +278,18 @@ def _key_columns(
             yield (
                 block,
                 [get(table[b:])[cut] for b, get in zip(bases, low)],
-                [get(table[t - b::-1])[cut] for b, t, get in zip(bases, totals, low)],
+                [get(table[e - b::-1])[cut] for b, e, get in zip(bases, ends, low)],
             )
         return
     masks = iter(masks)
     while block := list(islice(masks, _BLOCK)):
-        index = [_indices(pos, neg, side, block) for pos, neg in signs]
+        ps = [_popcounts(pos, block) for pos, _ in signs]
+        qs = [_popcounts(neg, block) for _, neg in signs]
         yield (
             block,
-            [list(map(key, col)) for col in index],
-            [list(map(key, map(t.__sub__, col))) for t, col in zip(totals, index)],
+            [_part_keys(n, zip(p, repeat(0), q)) for p, q in zip(ps, qs)],
+            [_part_keys(n, zip(map(tp.__sub__, p), repeat(0), map(tq.__sub__, q)))
+             for p, q, (tp, _, tq) in zip(ps, qs, totals)],
         )
 
 
@@ -329,8 +332,8 @@ def _check_masks(
 
     Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
     part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
-    candidate's positive and negative ballot bitmasks, looked up as one key
-    (:func:`_key_columns`), a block of masks at a time.  Only the masks whose
+    candidate's positive and negative ballot bitmasks, taken as one ``mj3``
+    key (:func:`_key_columns`), a block of masks at a time.  Only the masks whose
     parts share a unique top (:func:`_unique_tops`) reach the sign and
     premise tests, in mask order.
     """
@@ -341,10 +344,9 @@ def _check_masks(
         [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
         for c in range(len(ids))
     ]
-    key = cache(partial(_part_key, n))  # per call, holding only the indices met
     span = 2 * n + 1
-    totals = [pos.bit_count() * (n + 1) + neg.bit_count() for pos, neg in signs]
-    overall = list(map(key, totals))
+    totals = [(pos.bit_count(), 0, neg.bit_count()) for pos, neg in signs]
+    overall = _part_keys(n, totals)
     top = min(overall)
     if overall.count(top) != 1:
         raise NoUniqueWinnerError("combined election has no unique winner")
@@ -356,7 +358,7 @@ def _check_masks(
         n_premise_satisfied=0,
         sampled=sampled,
     )
-    for block, columns1, columns2 in _key_columns(masks, signs, totals, n, key):
+    for block, columns1, columns2 in _key_columns(masks, signs, totals, n):
         report.n_partitions_checked += len(block)
         for at, w in _unique_tops(columns1, columns2, strongest):
             mask = block[at]
@@ -462,39 +464,37 @@ def check_consistency_splits(
     if len(vectors) < 2:
         raise VoteError("partition check needs at least two ballots")
     kinds = sorted(Counter(vectors).items())
-    multiplicities = [m for _, m in kinds]
-    offsets = list(accumulate(multiplicities, initial=0))
-
-    def splits() -> Iterator[int]:
-        for taken in product(*(range(m + 1) for m in multiplicities)):
-            complement = tuple(m - t for m, t in zip(multiplicities, taken))
-            # skip an empty part, and each unordered split's mirror image
-            if sum(taken) == 0 or sum(complement) == 0 or taken > complement:
-                continue
-            yield sum(((1 << t) - 1) << at for t, at in zip(taken, offsets))
-
+    offsets = accumulate((m for _, m in kinds), initial=0)
+    prefixes = [[((1 << t) - 1) << at for t in range(m + 1)]
+                for (_, m), at in zip(kinds, offsets)]
+    # product order puts each split's mirror image at the mirrored position:
+    # the first half, less the empty split at 0, holds every split once
+    positions = prod(m + 1 for _, m in kinds)
+    splits = map(sum, islice(product(*prefixes), 1, (positions + 1) // 2))
     by_kind = [vec for vec, m in kinds for _ in range(m)]
-    return _check_masks(election, by_kind, splits(), sampled=False)
+    return _check_masks(election, by_kind, splits, sampled=False)
 
 
 def random_consistency_sweep(
     n_instances: int,
     *,
     max_voters: int = 8,
-    candidate_range: tuple[int, int] = (2, 3),
     seed: int | None = None,
 ) -> PartitionCheckReport:
-    """Exhaustive partition checks over many random three-grade elections.
+    """Exhaustive partition checks over many random three-grade elections of
+    2 to ``max_voters`` ballots and 2 or 3 candidates.
 
     Instances without a unique combined winner are redrawn.  Returns one
     aggregated report (premise details are dropped to keep it light).
     """
+    if max_voters < 2:
+        raise ConfigError(f"max_voters must be at least 2, got {max_voters}")
     rng = random.Random(seed)
     total = PartitionCheckReport(n_ballots=0, n_partitions_checked=0, n_premise_satisfied=0)
     done = 0
     while done < n_instances:
         n_voters = rng.randint(2, max_voters)
-        n_cands = rng.randint(*candidate_range)
+        n_cands = rng.randint(2, 3)
         candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
         ballots = [
             Ballot(
@@ -562,7 +562,6 @@ def search_no_show(
     ballots: Sequence[Ballot] | None = None,
     *,
     method: str = "auto",
-    max_additions: int = 250_000,
 ) -> list[NoShowCounterexample]:
     """Search one election for participation failures.
 
@@ -578,7 +577,7 @@ def search_no_show(
     method = resolve_method(method, scale)
     ids = [c.id for c in election.candidates]
     n_vectors = scale.size ** len(ids)
-    if n_vectors > max_additions:
+    if n_vectors > _MAX_VECTORS:
         raise VoteError(
             f"{n_vectors} candidate grade vectors exceed the addition-search cap"
         )
@@ -770,9 +769,10 @@ def polarize(tally: ApprovalTally, x: int) -> PolarizationShift:
 
 
 def polarization_sweep(
-    n_cases: int, *, max_count: int = 30, seed: int | None = None
+    n_cases: int, *, seed: int | None = None
 ) -> list[str]:
-    """Random polarization shifts, asserting the preserved-margin invariants.
+    """Random polarization shifts of tallies with 0 to 30 ballots per grade,
+    asserting the preserved-margin invariants.
 
     Returns violation descriptions (expected empty): the a_strong - n_none
     difference and the electorate size must be preserved exactly; a
@@ -784,7 +784,7 @@ def polarization_sweep(
     problems: list[str] = []
     for _ in range(n_cases):
         before = ApprovalTally(
-            rng.randint(0, max_count), rng.randint(0, max_count), rng.randint(0, max_count)
+            rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30)
         )
         x = rng.randint(0, before.a_weak // 2)
         after = polarize(before, x).after
@@ -831,7 +831,6 @@ def manipulation_probe(
     voter_id: str,
     *,
     method: str = "auto",
-    max_alternatives: int = 100_000,
 ) -> ManipulationReport:
     """Try every alternative ballot for one voter.
 
@@ -843,12 +842,11 @@ def manipulation_probe(
     scale = election.scale
     method = resolve_method(method, scale)
     ids = [c.id for c in election.candidates]
-    honest = next((b for b in ballots if b.voter_id == voter_id), None)
+    honest = next((i for i, b in enumerate(ballots) if b.voter_id == voter_id), None)
     if honest is None:
         raise ValidationError(f"unknown voter_id {voter_id!r}")
-    _ballot_vectors(election, ballots)  # integrity check
+    honest_vector = _ballot_vectors(election, ballots)[honest]  # checks the tally too
     require_rankable(election)
-    honest_vector = tuple(honest.grade_index(cid, scale) for cid in ids)
     full = [p.counts for p in election.profiles]
     honest_top = _top(*_key_table(method, full, election.n_voters))
     report = ManipulationReport(
@@ -859,7 +857,7 @@ def manipulation_probe(
     if len(honest_top) != 1:
         return report
     n_vectors = scale.size ** len(ids)
-    if n_vectors > max_alternatives:
+    if n_vectors > _MAX_VECTORS:
         raise VoteError(f"{n_vectors} alternative ballots exceed the probe cap")
     report.n_alternatives = n_vectors - 1  # every ballot but the honest one
     honest_best = honest_vector[honest_top[0]]

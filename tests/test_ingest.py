@@ -253,6 +253,21 @@ def test_a_clean_file_never_builds_ballots(tmp_path, monkeypatch, capsys):
     assert [rc for rc, _, _ in expected] == [0, 1]
 
 
+def test_rejected_row_numbers_count_csv_records_not_lines(tmp_path, capsys):
+    # the header is row 1; a quoted newline in voter "v\n1" does not advance
+    # the count, so the rejected record on line 4 of the file is row 3
+    text = 'voter_id,candidate,grade\n"v\n1",a,positive\nv2,zz,positive\n'
+    scale = GradeScale(("positive", "neutral", "negative"))
+    for read in (count_ballots, parse_ballots):
+        _, report, _ = read(io.StringIO(text), scale, (Candidate("a"),))
+        assert report.issues == [ParseIssue(3, "v2", "unknown candidate 'zz'")]
+    (tmp_path / "ballots.csv").write_text(text)
+    (tmp_path / "config.json").write_text('{"method": "mj3", "candidates": [{"id": "a"}]}')
+    assert main(["tally", "--config", str(tmp_path / "config.json"),
+                 "--ballots", str(tmp_path / "ballots.csv")]) == 1
+    assert "warning: row 3 voter v2: unknown candidate 'zz'" in capsys.readouterr().err
+
+
 def test_a_file_with_a_rejected_row_is_read_in_one_csv_pass(monkeypatch):
     calls = []
     reader = csv.reader

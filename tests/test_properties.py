@@ -736,15 +736,8 @@ def test_block_kernel_matches_the_reference_on_split_prefix_masks():
              for vec in vectors],
             candidates=candidates,
         )
-        # the kernel's input: ballots sorted kind by kind, one prefix mask
-        # per kind for every unordered split
-        offsets = list(accumulate(multiplicities, initial=0))
-        masks = [
-            sum(((1 << t) - 1) << at for t, at in zip(taken, offsets))
-            for taken in product(*(range(m + 1) for m in multiplicities))
-            if 0 < sum(taken) < len(vectors)
-            and taken <= tuple(m - t for m, t in zip(multiplicities, taken))
-        ]
+        # the kernel's input: ballots sorted kind by kind
+        masks = list(_reference_splits(multiplicities))
         expected = _reference_report(election, sorted(vectors), masks)
         if expected is None:
             with pytest.raises(NoUniqueWinnerError):
@@ -753,6 +746,53 @@ def test_block_kernel_matches_the_reference_on_split_prefix_masks():
             assert check_consistency_splits(election, ballots) == expected
             checked += expected.n_partitions_checked
     assert checked > 2 * 1024  # the largest case spans three blocks
+
+
+# Before the split masks were taken from the first half of one product of
+# per-kind prefix masks, check_consistency_splits made them in this generator.
+# Kept verbatim as the reference.
+
+def _reference_splits(multiplicities: Sequence[int]) -> Iterator[int]:
+    offsets = list(accumulate(multiplicities, initial=0))
+    for taken in product(*(range(m + 1) for m in multiplicities)):
+        complement = tuple(m - t for m, t in zip(multiplicities, taken))
+        # skip an empty part, and each unordered split's mirror image
+        if sum(taken) == 0 or sum(complement) == 0 or taken > complement:
+            continue
+        yield sum(((1 << t) - 1) << at for t, at in zip(taken, offsets))
+
+
+def test_split_masks_match_the_reference_generator(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        properties, "_check_masks",
+        lambda election, vectors, masks, sampled: seen.append(list(masks)),
+    )
+    candidates = [Candidate(f"c{i + 1}") for i in range(3)]
+    kinds = list(product(range(3), repeat=3))  # sorted, as the check sorts them
+    cases = [(1,) * 12] + [
+        ms for k in range(1, 5) for ms in product(range(1, 5), repeat=k) if sum(ms) > 1
+    ]
+    for multiplicities in cases:
+        vectors = [vec for vec, m in zip(kinds, multiplicities) for _ in range(m)]
+        election, ballots = _election(
+            [{c.id: MJ3_SCALE_LABELS[g] for c, g in zip(candidates, vec)}
+             for vec in reversed(vectors)],
+            candidates=candidates,
+        )
+        check_consistency_splits(election, ballots)
+        assert seen.pop() == list(_reference_splits(multiplicities)), multiplicities
+    assert len(cases) == 1 + 4 + 16 + 64 + 256 - 1
+
+
+def test_part_keys_match_the_integer_key_rule():
+    # the rule _check_masks stated itself before it took the keys from
+    # mj3_keys: -(s * span + t) of the mj3 pair (s, t) at index p * (n + 1) + q
+    for n in range(25):
+        span = 2 * n + 1
+        pairs = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+        expected = [q - p * span if p > q else q * span - p for p, q in pairs]
+        assert properties._part_keys(n, [(p, 0, q) for p, q in pairs]) == expected
 
 
 def test_block_kernel_on_one_candidate_and_on_a_tied_top():
@@ -850,6 +890,14 @@ def test_random_sweep_finds_no_violation():
     assert report.n_partitions_checked > 0
 
 
+@pytest.mark.parametrize("max_voters", [1, 0, -3])
+def test_random_sweep_refuses_a_cap_below_two_voters(max_voters):
+    # a one-ballot election has no 2-partition; rng.randint(2, 1) used to
+    # end in a ValueError
+    with pytest.raises(ConfigError, match="max_voters must be at least 2"):
+        random_consistency_sweep(5, max_voters=max_voters, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # participation (no-show) search
 # ---------------------------------------------------------------------------
@@ -880,10 +928,23 @@ def test_single_candidate_is_trivially_clean():
     assert search_no_show(election, ballots) == []
 
 
+def _twelve_candidates():
+    """A 12-candidate three-grade election with a unique winner: 3^12 =
+    531,441 grade vectors, above the searches' cap of 250,000."""
+    candidates = [Candidate(f"c{i + 1}") for i in range(12)]
+    return _election([{"c1": "positive"}, {"c2": "neutral"}], candidates=candidates)
+
+
 def test_addition_search_respects_its_cap():
-    election, ballots = _election([{"a": "positive", "b": "neutral"}])
-    with pytest.raises(VoteError, match="addition-search cap"):
-        search_no_show(election, ballots, max_additions=5)
+    election, ballots = _twelve_candidates()
+    with pytest.raises(VoteError, match="531441 .* exceed the addition-search cap"):
+        search_no_show(election, ballots)
+
+
+def test_probe_respects_the_same_cap():
+    election, ballots = _twelve_candidates()
+    with pytest.raises(VoteError, match="531441 .* exceed the probe cap"):
+        manipulation_probe(election, ballots, "v1")
 
 
 def test_exhaustive_two_candidate_search_is_clean():

@@ -1,5 +1,5 @@
-"""Smoke tests for the scripts under ``scripts/``, run in-process, and one
-run as a child process whose reader goes away."""
+"""Smoke tests for the scripts under ``scripts/``, run in-process, and for
+the sweeps script and the CLI run as child processes whose reader goes away."""
 
 import os
 import runpy
@@ -32,18 +32,48 @@ def test_property_sweeps_script_runs_clean(capsys):
     assert lines[-1] == "all sweeps clean"
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""])
-def test_property_sweeps_script_exits_quietly_on_a_closed_pipe(unbuffered):
+@pytest.mark.parametrize("argv, message", [
+    (["--instances", "-5"], "--instances must be at least 1, got -5"),
+    (["--max-voters", "1"], "--max-voters must be at least 2, got 1"),
+    (["--exhaustive-voters", "0"], "--exhaustive-voters must be at least 1, got 0"),
+])
+def test_property_sweeps_script_refuses_a_sweep_of_nothing(capsys, argv, message):
+    # before, these ended in a ValueError traceback (--max-voters 1) or
+    # reported a sweep of nothing as clean
+    with pytest.raises(SystemExit) as exit_info:
+        _script_main("run_property_sweeps.py")(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith(f"error: {message}")
+
+
+def _with_closed_stdout(args, unbuffered):
+    """Exit status and standard error of a child whose stdout reader is gone
+    before the first line."""
     src = str(SCRIPTS.parent / "src")
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.Popen(
-        [sys.executable, str(SCRIPTS / "run_property_sweeps.py"), "--instances", "20"],
+        [sys.executable, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
-    child.stdout.close()  # the reader is gone before the first line
-    err = child.stderr.read()
-    assert (child.wait(timeout=60), err) == (1, "")
+    child.stdout.close()
+    with child.stderr:
+        err = child.stderr.read()
+    return child.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_property_sweeps_script_exits_quietly_on_a_closed_pipe(unbuffered):
+    args = [str(SCRIPTS / "run_property_sweeps.py"), "--instances", "20"]
+    assert _with_closed_stdout(args, unbuffered) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_exits_quietly_on_a_closed_pipe(unbuffered):
+    # unbuffered, the first write fails; buffered, the flush at the end does
+    args = ["-m", "gradevote.cli", "demo", "smalltown"]
+    assert _with_closed_stdout(args, unbuffered) == (1, "")
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
