@@ -6,150 +6,65 @@ election procedure with block ranking and ballot rejection, and a
 binary-bracket baseline.  A brute-force property harness checks weak
 consistency, participation (no-show) behaviour, and polarization shifts on
 desk-scale instances.
+
+Importing the package loads no module: each public name is imported from
+the module that defines it on first use (PEP 562), so a tally never pays
+for the property harness.
 """
 
-from .approval import (
-    APPROVAL_SCALE,
-    ApprovalTally,
-    approval_rank,
-    borderline_candidates,
-    classify_block,
-)
-from .ballot_io import (
-    ElectionConfig,
-    ParseIssue,
-    ParseReport,
-    ballots_to_csv,
-    bracket_ballots_to_json,
-    config_to_json,
-    count_ballots,
-    load_config,
-    parse_ballots,
-    parse_bracket_ballots,
-    parse_result_json,
-    percent_half_up,
-    render_bracket,
-    render_result,
-)
-from .bracket import (
-    BracketBallot,
-    BracketNode,
-    BracketResult,
-    NodeDecision,
-    bracket_elect,
-    bracket_tree,
-    sincere_ballot,
-)
-from .core import (
-    Ballot,
-    Candidate,
-    ConfigError,
-    ElectionProfile,
-    GradeProfile,
-    GradeScale,
-    ValidationError,
-    VoteError,
-    build_profiles,
-    election_from_counts,
-)
-from .fixtures import FIXTURES, Fixture, load_fixture
-from .mj import MajorityGrade, majority_grade, majority_value, mj_rank
-from .mj3 import AltScores, ScorePair, Tally3, alt_scores, mj3_rank, score3
-from .properties import (
-    ConsistencyViolation,
-    CrossMethodReport,
-    ManipulationReport,
-    NoShowCounterexample,
-    NoShowSweepReport,
-    Outcome,
-    PartitionCheckReport,
-    PolarizationShift,
-    check_consistency,
-    check_consistency_splits,
-    manipulation_probe,
-    outcome_from_counts,
-    outcome_of,
-    polarization_sweep,
-    polarize,
-    random_consistency_sweep,
-    search_cross_method_disagreements,
-    search_no_show,
-    search_no_show_exhaustive,
-)
-from .results import Block, RankedEntry, RankedResult
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APPROVAL_SCALE",
-    "AltScores",
-    "ApprovalTally",
-    "Ballot",
-    "Block",
-    "BracketBallot",
-    "BracketNode",
-    "BracketResult",
-    "Candidate",
-    "ConfigError",
-    "ConsistencyViolation",
-    "CrossMethodReport",
-    "ElectionConfig",
-    "ElectionProfile",
-    "FIXTURES",
-    "Fixture",
-    "GradeProfile",
-    "GradeScale",
-    "MajorityGrade",
-    "ManipulationReport",
-    "NoShowCounterexample",
-    "NoShowSweepReport",
-    "NodeDecision",
-    "Outcome",
-    "ParseIssue",
-    "ParseReport",
-    "PartitionCheckReport",
-    "PolarizationShift",
-    "RankedEntry",
-    "RankedResult",
-    "ScorePair",
-    "Tally3",
-    "ValidationError",
-    "VoteError",
-    "approval_rank",
-    "alt_scores",
-    "ballots_to_csv",
-    "borderline_candidates",
-    "bracket_ballots_to_json",
-    "bracket_elect",
-    "bracket_tree",
-    "build_profiles",
-    "check_consistency",
-    "check_consistency_splits",
-    "classify_block",
-    "config_to_json",
-    "count_ballots",
-    "election_from_counts",
-    "load_config",
-    "load_fixture",
-    "majority_grade",
-    "majority_value",
-    "manipulation_probe",
-    "mj3_rank",
-    "mj_rank",
-    "outcome_from_counts",
-    "outcome_of",
-    "parse_ballots",
-    "parse_bracket_ballots",
-    "parse_result_json",
-    "percent_half_up",
-    "polarization_sweep",
-    "polarize",
-    "random_consistency_sweep",
-    "render_bracket",
-    "render_result",
-    "score3",
-    "search_cross_method_disagreements",
-    "search_no_show",
-    "search_no_show_exhaustive",
-    "sincere_ballot",
-]
+#: each submodule the package exposes -> the public names taken from it
+_EXPORTS = {
+    "approval": (
+        "APPROVAL_SCALE", "ApprovalTally", "approval_rank", "borderline_candidates",
+        "classify_block",
+    ),
+    "ballot_io": (
+        "ElectionConfig", "ParseIssue", "ParseReport", "ballots_to_csv",
+        "bracket_ballots_to_json", "config_to_json", "count_ballots", "load_config",
+        "parse_ballots", "parse_bracket_ballots", "parse_result_json", "percent_half_up",
+        "render_bracket", "render_result",
+    ),
+    "bracket": (
+        "BracketBallot", "BracketNode", "BracketResult", "NodeDecision", "bracket_elect",
+        "bracket_tree", "sincere_ballot",
+    ),
+    "core": (
+        "Ballot", "Candidate", "ConfigError", "ElectionProfile", "GradeProfile",
+        "GradeScale", "ValidationError", "VoteError", "build_profiles",
+        "election_from_counts",
+    ),
+    "fixtures": ("FIXTURES", "Fixture", "load_fixture"),
+    "methods": (),
+    "mj": ("MajorityGrade", "majority_grade", "majority_value", "mj_rank"),
+    "mj3": ("AltScores", "ScorePair", "Tally3", "alt_scores", "mj3_rank", "score3"),
+    "properties": (
+        "ConsistencyViolation", "CrossMethodReport", "ManipulationReport",
+        "NoShowCounterexample", "NoShowSweepReport", "Outcome", "PartitionCheckReport",
+        "PolarizationShift", "check_consistency", "check_consistency_splits",
+        "manipulation_probe", "outcome_from_counts", "outcome_of", "polarization_sweep",
+        "polarize", "random_consistency_sweep", "search_cross_method_disagreements",
+        "search_no_show", "search_no_show_exhaustive",
+    ),
+    "results": ("Block", "RankedEntry", "RankedResult"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -35,17 +35,7 @@ from .ballot_io import (
 )
 from .bracket import bracket_elect
 from .core import ConfigError, VoteError, build_profiles
-from .fixtures import FIXTURES, load_fixture, render_fixture, write_wire_files
 from .methods import RANKERS
-from .properties import (
-    NoShowCounterexample,
-    NoUniqueWinnerError,
-    check_consistency,
-    manipulation_probe,
-    polarization_sweep,
-    random_consistency_sweep,
-    search_no_show,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,10 +133,21 @@ def _print_report(report: ParseReport) -> None:
     for issue in report.issues:
         where = f"row {issue.row}" if issue.row is not None else "input"
         voter = f" voter {issue.voter}" if issue.voter else ""
-        print(f"warning: {where}{voter}: {issue.reason} (row rejected)",
-              file=sys.stderr)
+        _stderr(f"warning: {where}{voter}: {issue.reason} (row rejected)")
     for note in report.notes:
-        print(f"note: {note}", file=sys.stderr)
+        _stderr(f"note: {note}")
+
+
+def _stderr(line: str) -> None:
+    """Print one line on standard error, or drop it when there is none: with
+    fd 2 closed ``sys.stderr`` is None (``print`` would write to stdout), and
+    an fd 2 that refuses writes raises OSError."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _emit(text: str) -> None:
@@ -190,7 +191,7 @@ def _describe_outcome(outcome) -> str:
     return "rejected"
 
 
-def _describe_counterexample(ce: NoShowCounterexample) -> str:
+def _describe_counterexample(ce) -> str:
     grades = ", ".join(f"{cid}={label}" for cid, label in ce.grades.items())
     who = f" voter {ce.voter_id}" if ce.voter_id else ""
     return (
@@ -200,6 +201,15 @@ def _describe_counterexample(ce: NoShowCounterexample) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .properties import (
+        NoUniqueWinnerError,
+        check_consistency,
+        manipulation_probe,
+        polarization_sweep,
+        random_consistency_sweep,
+        search_no_show,
+    )
+
     config = _resolve_config(args)
     if config.method == "bracket":
         raise ConfigError(
@@ -344,6 +354,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .fixtures import FIXTURES, load_fixture, render_fixture, write_wire_files
+
     if not args.name:
         for name in FIXTURES:
             fixture = load_fixture(name)
@@ -357,7 +369,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     if args.outdir:
         for path in write_wire_files(fixture, Path(args.outdir)):
-            print(f"wrote {path}", file=sys.stderr)
+            _stderr(f"wrote {path}")
     return 0
 
 
@@ -371,10 +383,10 @@ def main(argv: "list[str] | None" = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return 2
     except VoteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return 1
     return status
 

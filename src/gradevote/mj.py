@@ -39,22 +39,11 @@ class MajorityGrade:
     label: str
 
 
-def _lower_median_index(counts: Sequence[int], total: int) -> int:
-    """Grade position of the lower middlemost ballot (best-first order)."""
-    target = total // 2
-    cumulative = 0
-    for position, count in enumerate(counts):
-        cumulative += count
-        if cumulative > target:
-            return position
-    raise VoteError("profile counts do not cover the median position")
-
-
 def majority_grade(profile: GradeProfile, scale: GradeScale) -> MajorityGrade:
     """The majority (median) grade of one candidate.  Needs at least one ballot."""
     if profile.total == 0:
         raise VoteError("majority grade undefined without ballots")
-    index = _lower_median_index(list(profile.counts), profile.total)
+    index = _gauge(profile.counts, profile.total)[0]
     return MajorityGrade(index, scale.labels[index])
 
 
@@ -69,14 +58,14 @@ def majority_value(profile: GradeProfile) -> tuple[int, ...]:
     total = profile.total
     sequence = []
     while total > 0:
-        position = _lower_median_index(counts, total)
+        position = _gauge(counts, total)[0]
         sequence.append(position)
         counts[position] -= 1
         total -= 1
     return tuple(sequence)
 
 
-def _gauge(counts: tuple[int, ...], total: int) -> tuple[int, int]:
+def _gauge(counts: Sequence[int], total: int) -> tuple[int, int]:
     """The majority gauge ``(α, -p if p > q else q)``; smaller is better.
 
     ``p`` ballots are strictly better than the majority grade ``α`` and ``q``
@@ -134,17 +123,6 @@ def _removal_key(counts: tuple[int, ...], total: int) -> tuple:
         key.append((pair, 0, run) if pairs[index + 1] < pair else (pair, 2, -run))
     key.append((pairs[-1], 1, 0))
     return tuple(key)
-
-
-def mj_key(counts: tuple[int, ...], total: int) -> tuple:
-    """The full key of one tally: the majority gauge, then the removal key.
-
-    It orders and ties the tallies of ``total`` ballots exactly as
-    :func:`mj_rank` does, whatever other tallies it is compared with;
-    :func:`_rank_keys` reaches the same order with the removal key only
-    where one election's gauges collide.
-    """
-    return _gauge(counts, total) + _removal_key(counts, total)
 
 
 def _rank_keys(tallies: list[tuple[int, ...]], total: int) -> list[tuple]:

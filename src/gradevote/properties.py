@@ -58,7 +58,6 @@ from .core import (
     build_profiles,
 )
 from .methods import KEYS, method_scale, resolve_method
-from .mj import mj_key
 from .mj3 import MJ3_SCALE, mj3_keys
 from .results import (  # Outcome and outcome_of are re-exported from here too
     Block,
@@ -697,13 +696,10 @@ def _ranking(keys: Sequence) -> tuple[list[int], list[list[int]]]:
 
 def _cross_method_keys(n: int) -> tuple[list[tuple[int, ...]], list, list]:
     """Every three-grade tally of ``n`` ballots with its ``mj3`` key and its
-    full ``mj`` key (:func:`gradevote.mj.mj_key`)."""
+    ``mj`` key, each from :func:`_key_table` over all of them, so any
+    selection orders and ties as the rankers do."""
     tallies = list(_compositions(n, 3))
-    return (
-        tallies,
-        mj3_keys(tallies, n),
-        [mj_key(counts, n) for counts in tallies],
-    )
+    return tallies, _key_table("mj3", tallies, n)[0], _key_table("mj", tallies, n)[0]
 
 
 def search_cross_method_disagreements(
@@ -716,9 +712,9 @@ def search_cross_method_disagreements(
     either method reads) and diffs the two rankings, tie groups included.
     Each ranking is taken from the sort key its ranker uses, computed once
     per tally and electorate size (:func:`_cross_method_keys`): the
-    ``(s, t)`` pair of ``mj3_rank``, and the majority gauge plus removal key
-    of ``mj_rank``, which sorts like the full removal sequence and is equal
-    only for equal tallies.  No profile or ranking is built per election; the
+    ``(s, t)`` pair of ``mj3_rank``, and the majority gauge of ``mj_rank``,
+    extended by the removal key over every gauge group that distinct tallies
+    share, so it is equal only for equal tallies.  No profile or ranking is built per election; the
     full rankers remain the test oracle of this search.
     """
     tables = {n: _cross_method_keys(n) for n in range(1, max_voters + 1)}

@@ -774,3 +774,84 @@ def test_cli_check_skips_consistency_on_a_tied_top(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "consistency: skipped (combined election has no unique winner)" in out
     assert "no-show search: 0 counterexample(s)" in out
+
+
+def test_cli_check_names_borderline_candidates_and_the_rejection(tmp_path, capsys):
+    config = tmp_path / "approval.json"
+    config.write_text('{"method": "approval3", "candidates": [{"id": "a"}, {"id": "b"}]}')
+    ballots = tmp_path / "approval.csv"
+    ballots.write_text("voter_id,candidate,grade\nv1,a,strong\nv2,b,weak\n")
+    assert main(["check", "--config", str(config), "--ballots", str(ballots)]) == 0
+    assert capsys.readouterr() == (
+        "method: approval3  ballots: 2  candidates: 2\n"
+        "no-show search: 0 counterexample(s)\n"
+        "consistency: skipped (the check decides partitions by the mj3 score, "
+        "not by approval3)\n"
+        "borderline: a approved by exactly half the electorate\n"
+        "borderline: b approved by exactly half the electorate\n"
+        f"{REJECTED_BANNER}\n"
+        "result: ok\n",
+        "",
+    )
+
+
+def _tally(tmp_path, capsys, config, ballots, name="ballots.json"):
+    """Exit code, stdout and stderr of ``tally`` on a config and a ballot text."""
+    (tmp_path / "config.json").write_text(config)
+    (tmp_path / name).write_text(ballots)
+    rc = main(["tally", "--config", str(tmp_path / "config.json"),
+               "--ballots", str(tmp_path / name)])
+    return (rc, *capsys.readouterr())
+
+
+MJ3_A = '{"method": "mj3", "candidates": [{"id": "a"}]}'
+BRACKET_AB = '{"method": "bracket", "candidates": [{"id": "a"}, {"id": "b"}]}'
+
+
+def test_cli_tally_refuses_grade_ballots_that_are_not_json(tmp_path, capsys):
+    assert _tally(tmp_path, capsys, MJ3_A, '[{"voter_id": "v1", "grades": {') == (
+        1, "",
+        "error: ballots are not valid JSON: Expecting property name enclosed in "
+        "double quotes: line 1 column 32 (char 31)\n",
+    )
+
+
+def test_cli_tally_drops_a_json_grade_for_an_unregistered_candidate(tmp_path, capsys):
+    # the entry's other grades still count
+    ballots = '[{"voter_id": "v1", "grades": {"a": "positive", "zz": "neutral"}}]'
+    assert _tally(tmp_path, capsys, MJ3_A, ballots) == (
+        1,
+        "rank  candidate  positive  neutral  negative  score  tiebreak\n"
+        "=============================================================\n"
+        "1     a               100        0         0      1         0\n"
+        "1 ballots\n",
+        "warning: row 1 voter v1: unknown candidate 'zz' (row rejected)\n",
+    )
+
+
+def test_cli_tally_refuses_bracket_ballots_that_are_an_object(tmp_path, capsys):
+    ballots = '{"voter_id": "v1", "accept": true, "choices": ["upper"]}'
+    assert _tally(tmp_path, capsys, BRACKET_AB, ballots) == (
+        1, "", "error: bracket ballots must be a JSON list of objects\n",
+    )
+
+
+def test_cli_tally_refuses_an_empty_bracket_list(tmp_path, capsys):
+    assert _tally(tmp_path, capsys, BRACKET_AB, "[]") == (
+        1, "",
+        "note: empty input: no ballots\n"
+        "error: cannot run a bracket election without ballots\n",
+    )
+
+
+def test_cli_tally_renders_a_rejected_bracket_ballot(tmp_path, capsys):
+    ballots = ('[{"voter_id": "v1", "accept": false, "choices": ["upper"]}, '
+               '{"voter_id": "v2", "accept": false, "choices": ["lower"]}]')
+    assert _tally(tmp_path, capsys, BRACKET_AB, ballots) == (
+        0,
+        "ballot rejected (0 yes, 2 no): no winner\n"
+        "step  candidates  upper  lower       chosen\n"
+        "===========================================\n"
+        "1     a b             1      1  upper (tie)\n",
+        "",
+    )

@@ -1,5 +1,8 @@
 """Smoke tests for the scripts under ``scripts/``, run in-process, and for
-the sweeps script and the CLI run as child processes whose reader goes away."""
+the sweeps script and the CLI run as child processes whose reader goes away
+or that start without a usable standard error."""
+
+import json
 
 import os
 import runpy
@@ -47,12 +50,16 @@ def test_property_sweeps_script_refuses_a_sweep_of_nothing(capsys, argv, message
     assert out == "" and err.splitlines()[-1].endswith(f"error: {message}")
 
 
+def _child_env(**extra):
+    src = str(SCRIPTS.parent / "src")
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _with_closed_stdout(args, unbuffered):
     """Exit status and standard error of a child whose stdout reader is gone
     before the first line."""
-    src = str(SCRIPTS.parent / "src")
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _child_env(PYTHONUNBUFFERED=unbuffered)
     child = subprocess.Popen(
         [sys.executable, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
@@ -85,3 +92,51 @@ def test_render_fixtures_script_prints_what_demo_prints(capsys, fmt):
         expected.append(f"== {name}: {load_fixture(name).notes}\n{demo}\n")
     assert _script_main("render_fixtures.py")(["--format", fmt]) == 0
     assert capsys.readouterr().out == "".join(expected)
+
+
+def _close_fd2():
+    os.close(2)
+
+
+def _read_only_fd2():
+    # a launcher can leave fd 2 open on something that refuses writes
+    os.close(2)
+    os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)
+
+
+@pytest.fixture(params=[_close_fd2, _read_only_fd2], ids=["closed", "read-only"])
+def without_stderr(request):
+    """Run the CLI in a child without a usable fd 2: its exit status and stdout."""
+    def run(*args, cwd=None):
+        child = subprocess.run(
+            [sys.executable, "-m", "gradevote.cli", *args], cwd=cwd, env=_child_env(),
+            stdout=subprocess.PIPE, text=True, timeout=60, preexec_fn=request.param,
+        )
+        return child.returncode, child.stdout
+    return run
+
+
+def test_tally_without_stderr_prints_only_its_result(tmp_path, without_stderr):
+    # with fd 2 closed, sys.stderr is None and print() would write the
+    # warning to stdout; with fd 2 read-only, it raised before the render
+    (tmp_path / "c.json").write_text('{"method": "mj3", "candidates": [{"id": "a"}]}')
+    (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\nv2,zz,positive\n")
+    rc, out = without_stderr("tally", "--config", "c.json", "--ballots", "b.csv",
+                             "--format", "json", cwd=tmp_path)
+    assert rc == 1
+    assert json.loads(out)["entries"][0]["counts"] == [1, 0, 0]
+
+
+def test_errors_without_stderr_keep_their_exit_code(tmp_path, without_stderr):
+    missing = str(tmp_path / "missing.json")
+    assert without_stderr("tally", "--config", missing, "--ballots", "b.csv") == (1, "")
+    assert without_stderr("check", "--method", "mj3", "--ballots", "b.csv",
+                          "--limit", "1") == (2, "")
+
+
+def test_demo_without_stderr_writes_its_files(tmp_path, without_stderr):
+    rc, out = without_stderr("demo", "school", "--outdir", str(tmp_path))
+    assert rc == 0
+    assert out.endswith("21 ballots\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "school.ballots.csv", "school.config.json"]
