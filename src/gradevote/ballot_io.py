@@ -30,6 +30,19 @@ the rows to name them.  :func:`parse_ballots` groups the kept rows into one
 :class:`Ballot` per voter, for the property harness; :func:`count_ballots`
 counts them straight into the per-grade counts a tally needs, with no
 ballot objects.
+
+:func:`count_ballots` first tries to prove a CSV file clean without the CSV
+reader: no ``"``, carriage return or NUL, no whitespace but the ``\n`` line
+ends (so no padded cell), the exact header, and every row kept (blank lines
+are skipped, as the CSV reader skips them).  Such a file is counted from its
+lines.  Any other file (quoted, padded or with a row to reject) is read by
+the CSV reader as before, which stays the only code that names rejected
+rows.  The proof stops at its first failing check, so a file with a rejected
+row pays for the passes up to that check on top of the CSV reader.
+
+:func:`count_bracket_ballots` counts a bracket document the same way: one
+whose columns prove every entry valid is counted from them, and any other is
+read entry by entry.
 """
 
 import csv
@@ -37,15 +50,15 @@ import gc
 import io
 import json
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import attrgetter, itemgetter
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, itemgetter, not_
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .approval import borderline_candidates
-from .bracket import BracketBallot, BracketResult, bracket_tree
 from .core import (
     Ballot,
     Candidate,
@@ -58,6 +71,9 @@ from .core import (
 )
 from .methods import RANKERS, method_scale
 from .results import Block, RankedEntry, RankedResult
+
+if TYPE_CHECKING:  # the bracket module is imported where bracket code runs
+    from .bracket import BracketBallot, BracketResult
 
 METHODS = (*RANKERS, "bracket")
 
@@ -178,11 +194,13 @@ def config_to_json(config: ElectionConfig) -> str:
 
 @dataclass(frozen=True)
 class ParseIssue:
-    """One rejected row/entry and why."""
+    """One rejected row/entry and why.  ``grade_only`` marks one grade dropped
+    from a JSON grade entry whose other grades still count."""
 
     row: int | None
     voter: str | None
     reason: str
+    grade_only: bool = False
 
 
 @dataclass
@@ -252,18 +270,25 @@ def count_ballots(
     """Read graded ballots straight into per-grade counts.
 
     Returns what ``build_profiles`` makes of :func:`parse_ballots`' result,
-    with the same report and roster.  A CSV file is counted from its columns
-    and never becomes :class:`Ballot` objects.
+    with the same report and roster.  A CSV file never becomes
+    :class:`Ballot` objects: a clean one is counted from its lines
+    (:func:`_count_lines`), any other from the columns of :func:`_read_csv`.
     """
     text = _read_text(source)
     if _is_json(source, text):
         ballots, report, roster = _parse_ballots_json(text, scale, candidates)
         return build_profiles(scale, roster, ballots), report, roster
     with _gc_paused():
-        columns, tally, report, roster = _read_csv(text, scale, candidates)
-        # free the columns (one reference per row) before the collector
-        # resumes: its first pass would walk them all
-        del columns
+        lines = _plain_lines(text)
+        counted = None if lines is None else _count_lines(lines, scale, candidates)
+        del lines  # not alive next to the csv reader's rows
+        if counted is None:
+            columns, tally, report, roster = _read_csv(text, scale, candidates)
+            # free the columns (one reference per row) before the collector
+            # resumes: its first pass would walk them all
+            del columns
+        else:
+            tally, report, roster = counted
         n_voters = report.n_ballots
         profiles = []
         for candidate in roster:
@@ -284,6 +309,81 @@ def _gc_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
+
+
+#: the ASCII characters ``str.strip`` removes, less the line end ``\n``
+_ASCII_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of a plain text, or None for any other.
+
+    A plain text has no ``"``, CR, NUL or whitespace but its ``\n`` line
+    ends, so ``csv`` would split it at commas and line ends alone and
+    ``str.strip`` would leave its cells as they are.  Its lines are the
+    records the csv reader finds in it.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if text.isascii():
+        if any(map(text.__contains__, _ASCII_SPACE)):
+            return None
+    elif any(ch.isspace() for ch in set(text) if ch != "\n"):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line end
+    return lines
+
+
+def _count_lines(
+    lines: list[str], scale: GradeScale, candidates: Sequence[Candidate]
+) -> "tuple[Counter, ParseReport, tuple[Candidate, ...]] | None":
+    """The ``(candidate, grade)`` tally, report and roster of plain lines
+    (:func:`_plain_lines`) of which :func:`_read_csv` keeps every row, or None.
+
+    Blank lines are skipped, as ``_read_csv`` skips them.  Each of its row
+    checks is a C-level pass over the lines or runs once per distinct
+    ``"candidate,grade"`` tail (from ``str.partition``); a repeated
+    ``(voter, candidate)`` pair is a repeated ``"voter,candidate"`` head
+    (from ``str.rpartition``).  The first check that fails ends the proof.
+    """
+    if not lines or lines[0] != ",".join(BALLOT_CSV_HEADER):
+        return None
+    rows = list(filter(None, islice(lines, 1, None)))
+    limit = csv.field_size_limit()  # a longer field is an error of csv's
+    tails = Counter(map(itemgetter(2), map(str.partition, rows, repeat(","))))
+    tally: Counter = Counter()
+    for tail, n in tails.items():
+        cid, comma, grade = tail.partition(",")
+        if not comma or "," in grade or max(len(cid), len(grade)) > limit:
+            return None  # a ragged row, or a field the csv reader refuses
+        tally[cid, grade] = n
+    known, wrong = _roster(tally, scale, candidates)
+    if wrong or not rows:
+        return None
+    if len(set(map(itemgetter(0), map(str.rpartition, rows, repeat(","))))) != len(rows):
+        return None
+    voters = set(map(itemgetter(0), map(str.partition, rows, repeat(","))))
+    if "" in voters or max(map(len, voters)) > limit:
+        return None
+    report = ParseReport(n_rows=len(rows), n_ballots=len(voters))
+    return tally, report, tuple(known.values())
+
+
+def _roster(
+    tally: Counter, scale: GradeScale, candidates: Sequence[Candidate]
+) -> tuple[dict[str, Candidate], list[tuple[str, str]]]:
+    """The candidates in effect, by id, and the keys of a ``(candidate,
+    grade)`` tally that name a candidate or grade outside them.
+
+    Without registered candidates every non-empty candidate of the tally is
+    in effect, in first-appearance order: the order of the tally's keys.
+    """
+    registered = {c.id: c for c in candidates}
+    known = registered or {cid: Candidate(cid) for cid, _ in tally if cid}
+    wrong = [key for key in tally if key[0] not in known or key[1] not in scale.labels]
+    return known, wrong
 
 
 def _read_csv(
@@ -318,7 +418,7 @@ def _read_csv(
     report.n_rows = len(rows)  # less the blank rows, which are skipped
     lines: Sequence[int] = range(2, len(rows) + 2)
     if set(map(len, rows)) - {3}:
-        bad = [i for i, row in enumerate(rows) if len(row) != 3]
+        bad = _where(map((3).__ne__, map(len, rows)))
         for i in bad:
             if any(map(str.strip, rows[i])):
                 issues.append(
@@ -331,51 +431,48 @@ def _read_csv(
         list(map(str.strip, map(itemgetter(i), rows))) for i in range(3)
     ]
     # the row lists are the largest allocation: free them before the pair
-    # set below is built, so the two never peak together
+    # table below is built, so the two never peak together
     del rows
     if "" in voters:
-        bad = [i for i, voter in enumerate(voters) if not voter]
+        bad = _where(map(not_, voters))
         for i in bad:
             if cids[i] or grades[i]:
                 issues.append(ParseIssue(lines[i], None, "empty voter_id"))
             else:
                 report.n_rows -= 1
         voters, cids, grades, lines = _drop(bad, voters, cids, grades, lines)
-    registered = {c.id: c for c in candidates}
-    known = registered or dict.fromkeys(cids)
-    if not registered:
-        known.pop("", None)  # an inferred roster never holds an empty id
-    labels = scale.labels
     tally = Counter(zip(cids, grades))
-    wrong = [key for key in tally if key[0] not in known or key[1] not in labels]
+    known, wrong = _roster(tally, scale, candidates)
     if wrong:
         for key in wrong:
             del tally[key]
-        bad = [i for i, key in enumerate(zip(cids, grades)) if key not in tally]
+        bad = _where(map(set(wrong).__contains__, zip(cids, grades)))
         for i in bad:
             reason = (f"unknown candidate {cids[i]!r}" if cids[i] not in known
                       else f"unknown grade {grades[i]!r}")
             issues.append(ParseIssue(lines[i], voters[i], reason))
         voters, cids, grades, lines = _drop(bad, voters, cids, grades, lines)
-    if len(set(zip(voters, cids))) != len(voters):
-        seen: set[tuple[str, str]] = set()
-        bad = []
-        for i, pair in enumerate(zip(voters, cids)):
-            if pair not in seen:
-                seen.add(pair)
-                continue
-            bad.append(i)
+    pairs = dict.fromkeys(zip(voters, cids), True)
+    if len(pairs) != len(voters):
+        # a pair's first row pops its True; each later row gets False
+        bad = _where(map(not_, map(pairs.pop, zip(voters, cids), repeat(False))))
+        for i in bad:
             tally[cids[i], grades[i]] -= 1
             issues.append(ParseIssue(
                 lines[i], voters[i], f"duplicate grade for candidate {cids[i]!r}"
             ))
         voters, cids, grades, lines = _drop(bad, voters, cids, grades, lines)
+    del pairs
     issues.sort(key=attrgetter("row"))
     if report.n_rows == 0:
         report.notes.append("empty input: no ballots")
     report.n_ballots = len(set(voters))
-    roster = tuple(registered.values()) or tuple(map(Candidate, known))
-    return [voters, cids, grades], tally, report, roster
+    return [voters, cids, grades], tally, report, tuple(known.values())
+
+
+def _where(flags: Iterable[object]) -> list[int]:
+    """The positions of the true flags."""
+    return list(compress(count(), flags))
 
 
 def _drop(bad: list[int], *columns: Sequence) -> list[list]:
@@ -423,12 +520,12 @@ def _parse_ballots_json(
                 roster[cid] = Candidate(cid)
             if cid not in roster:
                 report.issues.append(
-                    ParseIssue(index, voter, f"unknown candidate {cid!r}")
+                    ParseIssue(index, voter, f"unknown candidate {cid!r}", grade_only=True)
                 )
                 continue
             if not isinstance(grade, str) or grade not in scale.labels:
                 report.issues.append(
-                    ParseIssue(index, voter, f"unknown grade {grade!r}")
+                    ParseIssue(index, voter, f"unknown grade {grade!r}", grade_only=True)
                 )
                 continue
             kept[cid] = grade
@@ -473,16 +570,84 @@ def ballots_to_csv(ballots: Sequence[Ballot]) -> str:
 
 def parse_bracket_ballots(
     source: "str | Path | io.TextIOBase", candidates: Sequence[Candidate]
-) -> tuple[list[BracketBallot], ParseReport]:
+) -> "tuple[list[BracketBallot], ParseReport]":
     """Read bracket ballots (JSON list) for a known candidate roster."""
-    report = ParseReport()
+    from .bracket import bracket_tree
+
+    document = _bracket_document(source)
+    return _parse_bracket_entries(document, len(bracket_tree([c.id for c in candidates])))
+
+
+def count_bracket_ballots(
+    source: "str | Path | io.TextIOBase", candidates: Sequence[Candidate]
+) -> "tuple[tuple[int, Counter[tuple[str, ...]]], ParseReport]":
+    """Read bracket ballots straight into the counts ``bracket_from_counts``
+    takes: the accept marks, and how many ballots carry each tuple of half
+    marks.
+
+    Returns what counting :func:`parse_bracket_ballots`' ballots gives, with
+    the same report.  A document whose columns prove that the per-entry
+    reader keeps every entry is counted from those columns, with no
+    ``BracketBallot`` objects; any other is read entry by entry.
+    """
+    from .bracket import _count_marks, bracket_tree
+
+    with _gc_paused():
+        document = _bracket_document(source)
+        n_nodes = len(bracket_tree([c.id for c in candidates]))
+        counted = _count_bracket_columns(document, n_nodes)
+        if counted is None:
+            ballots, report = _parse_bracket_entries(document, n_nodes)
+            counted = _count_marks(ballots), report
+            del ballots
+        # free the document before the collector resumes, as count_ballots does
+        del document
+    return counted
+
+
+def _bracket_document(source: "str | Path | io.TextIOBase") -> list:
     try:
         document = json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bracket ballots are not valid JSON: {exc}") from None
     if not isinstance(document, list):
         raise ValidationError("bracket ballots must be a JSON list of objects")
-    n_nodes = len(bracket_tree([c.id for c in candidates]))
+    return document
+
+
+def _count_bracket_columns(
+    document: list, n_nodes: int
+) -> "tuple[tuple[int, Counter[tuple[str, ...]]], ParseReport] | None":
+    """The counts and report of a document whose columns prove that
+    :func:`_parse_bracket_entries` keeps every entry, or None: then nothing is
+    proved.  The half marks are checked once per distinct tuple of them."""
+    if set(map(type, document)) != {dict}:  # also refuses an empty document
+        return None
+    try:
+        voters, accepts, choices = (
+            list(map(itemgetter(key), document)) for key in ("voter_id", "accept", "choices")
+        )
+    except KeyError:
+        return None
+    if (set(map(type, voters)) != {str} or len(set(voters)) != len(voters)
+            or set(map(type, accepts)) != {bool} or set(map(type, choices)) != {list}):
+        return None
+    try:
+        kinds = Counter(map(tuple, choices))
+    except TypeError:  # a mark that is a list or an object
+        return None
+    if any(len(kind) != n_nodes or not set(kind) <= {"upper", "lower"} for kind in kinds):
+        return None
+    report = ParseReport(n_rows=len(document), n_ballots=len(document))
+    return (accepts.count(True), kinds), report
+
+
+def _parse_bracket_entries(
+    document: list, n_nodes: int
+) -> "tuple[list[BracketBallot], ParseReport]":
+    from .bracket import BracketBallot
+
+    report = ParseReport()
     ballots: list[BracketBallot] = []
     seen: set[str] = set()
     for index, entry in enumerate(document, start=1):
@@ -522,7 +687,7 @@ def parse_bracket_ballots(
     return ballots, report
 
 
-def bracket_ballots_to_json(ballots: Sequence[BracketBallot]) -> str:
+def bracket_ballots_to_json(ballots: "Sequence[BracketBallot]") -> str:
     return json.dumps(
         [
             {"voter_id": b.voter_id, "accept": b.accept, "choices": list(b.half_choices)}
@@ -694,7 +859,7 @@ def _render_csv(result: RankedResult) -> str:
     return out.getvalue()
 
 
-def render_bracket(result: BracketResult, fmt: str = "table") -> str:
+def render_bracket(result: "BracketResult", fmt: str = "table") -> str:
     """Render a bracket outcome as ``table``, ``json``, or ``csv``."""
     if fmt == "json":
         document = {

@@ -20,7 +20,8 @@ The tree is enumerated in preorder (node, upper subtree, lower subtree), and
 ballot half-marks are aligned with that enumeration.
 """
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .core import Candidate, ValidationError, VoteError
@@ -129,16 +130,10 @@ def bracket_elect(
     """Run the single-round bracket election.
 
     Every ballot must mark every node (``k - 1`` half marks for ``k``
-    candidates) and every voter may vote once.  The elimination trace holds
-    the decisions along the winning path, root first; the winner is ``None``
-    iff the ballot is rejected.
+    candidates) and every voter may vote once.  The ballots are counted and
+    decided by :func:`bracket_from_counts`.
     """
-    ids = tuple(c.id for c in candidates)
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate candidate ids registered")
-    nodes = bracket_tree(ids)
-    if not ballots:
-        raise VoteError("cannot run a bracket election without ballots")
+    nodes = _tree(candidates)
     seen: set[str] = set()
     for ballot in ballots:
         if ballot.voter_id in seen:
@@ -149,33 +144,68 @@ def bracket_elect(
                 f"ballot {ballot.voter_id!r} marks {len(ballot.half_choices)} nodes, "
                 f"expected {len(nodes)}"
             )
+    return bracket_from_counts(candidates, *_count_marks(ballots))
 
-    accept_yes = sum(1 for b in ballots if b.accept)
-    accept_no = len(ballots) - accept_yes
-    accepted = 2 * accept_yes > len(ballots)
+
+def _count_marks(
+    ballots: Sequence[BracketBallot],
+) -> tuple[int, Counter[tuple[str, ...]]]:
+    """The accept marks of the ballots and how many carry each tuple of half
+    marks, as :func:`bracket_from_counts` takes them."""
+    return sum(b.accept for b in ballots), Counter(b.half_choices for b in ballots)
+
+
+def bracket_from_counts(
+    candidates: Sequence[Candidate],
+    accept_yes: int,
+    kinds: Mapping[tuple[str, ...], int],
+) -> BracketResult:
+    """Decide the bracket election from its counts alone.
+
+    ``kinds`` maps each tuple of half marks (aligned with the preorder of
+    :func:`bracket_tree`) to the number of ballots that carry it, and
+    ``accept_yes`` counts the accept marks.  The elimination trace holds the
+    decisions along the winning path, root first; the winner is ``None`` iff
+    the ballot is rejected.  Only the nodes on that path are tallied, each
+    over the distinct tuples: at most ``min(ballots, 2 ** (k - 1))`` of them.
+    """
+    nodes = _tree(candidates)
+    n_ballots = sum(kinds.values())
+    if not n_ballots:
+        raise VoteError("cannot run a bracket election without ballots")
+    if any(len(kind) != len(nodes) for kind in kinds):
+        raise ValidationError(f"every tuple of half marks must mark {len(nodes)} nodes")
+    if not 0 <= accept_yes <= n_ballots:
+        raise ValidationError(f"accept marks must lie between 0 and {n_ballots}")
+    accepted = 2 * accept_yes > n_ballots
 
     node_index = {node.candidates: i for i, node in enumerate(nodes)}
     trace: list[NodeDecision] = []
-    span = ids
+    span = nodes[0].candidates
     while len(span) >= 2:
-        node = nodes[node_index[span]]
-        votes_upper = sum(
-            1 for b in ballots if b.half_choices[node_index[span]] == UPPER
-        )
-        votes_lower = len(ballots) - votes_upper
-        tie = votes_upper == votes_lower
-        chosen = UPPER if votes_upper >= votes_lower else LOWER
-        trace.append(NodeDecision(node, votes_upper, votes_lower, chosen, tie))
-        span = node.upper if chosen == UPPER else node.lower
+        i = node_index[span]
+        up = sum(n for kind, n in kinds.items() if kind[i] == UPPER)
+        down = n_ballots - up
+        chosen = UPPER if up >= down else LOWER
+        trace.append(NodeDecision(nodes[i], up, down, chosen, up == down))
+        span = nodes[i].upper if chosen == UPPER else nodes[i].lower
 
     return BracketResult(
-        candidates=ids,
+        candidates=nodes[0].candidates,
         accept_yes=accept_yes,
-        accept_no=accept_no,
+        accept_no=n_ballots - accept_yes,
         ballot_accepted=accepted,
         elimination_trace=tuple(trace),
         winner=span[0] if accepted else None,
     )
+
+
+def _tree(candidates: Sequence[Candidate]) -> tuple[BracketNode, ...]:
+    """The halving tree over the registered ids, which must be distinct."""
+    ids = tuple(c.id for c in candidates)
+    if len(set(ids)) != len(ids):
+        raise ValidationError("duplicate candidate ids registered")
+    return bracket_tree(ids)
 
 
 def sincere_ballot(

@@ -27,13 +27,12 @@ from .ballot_io import (
     ParseReport,
     REJECTED_BANNER,
     count_ballots,
+    count_bracket_ballots,
     load_config,
     parse_ballots,
-    parse_bracket_ballots,
     render_bracket,
     render_result,
 )
-from .bracket import bracket_elect
 from .core import ConfigError, VoteError, build_profiles
 from .methods import RANKERS
 
@@ -133,7 +132,8 @@ def _print_report(report: ParseReport) -> None:
     for issue in report.issues:
         where = f"row {issue.row}" if issue.row is not None else "input"
         voter = f" voter {issue.voter}" if issue.voter else ""
-        _stderr(f"warning: {where}{voter}: {issue.reason} (row rejected)")
+        dropped = "only this grade dropped" if issue.grade_only else "row rejected"
+        _stderr(f"warning: {where}{voter}: {issue.reason} ({dropped})")
     for note in report.notes:
         _stderr(f"note: {note}")
 
@@ -168,12 +168,11 @@ def cmd_tally(args: argparse.Namespace) -> int:
             raise ConfigError(
                 "bracket elections need at least two candidates in the config"
             )
-        ballots, report = parse_bracket_ballots(
-            _ballot_source(args), config.candidates
-        )
+        from .bracket import bracket_from_counts
+
+        counts, report = count_bracket_ballots(_ballot_source(args), config.candidates)
         _print_report(report)
-        result = bracket_elect(config.candidates, ballots)
-        _emit(render_bracket(result, args.format))
+        _emit(render_bracket(bracket_from_counts(config.candidates, *counts), args.format))
         return 0 if report.ok else 1
     election, report, candidates = count_ballots(
         _ballot_source(args), config.scale, config.candidates
@@ -299,6 +298,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report["borderline"] = list(borderline)
         for cid in borderline:
             lines.append(f"borderline: {cid} approved by exactly half the electorate")
+        report["rejected"] = result.rejected
         if result.rejected:
             lines.append(REJECTED_BANNER)
 

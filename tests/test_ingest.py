@@ -1,7 +1,8 @@
 """One CSV reader: ``parse_ballots`` and ``count_ballots`` against the
 row-by-row reference.
 
-Both public readers take the columns of one column-wise pass over a CSV file.
+Both public readers take the columns of one column-wise pass over a CSV file;
+``count_ballots`` first tries to count a clean file from its lines alone.
 On any input they must return what the row-by-row reader below (the reader
 they replaced, kept verbatim) makes of it: the same ballots, or the counts
 ``build_profiles`` makes of them, with the same report, issue order and
@@ -12,6 +13,7 @@ that reference.
 import csv
 import io
 from collections.abc import Sequence
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +268,215 @@ def test_rejected_row_numbers_count_csv_records_not_lines(tmp_path, capsys):
     assert main(["tally", "--config", str(tmp_path / "config.json"),
                  "--ballots", str(tmp_path / "ballots.csv")]) == 1
     assert "warning: row 3 voter v2: unknown candidate 'zz'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# quote-free files: counted from their lines, or handed to the CSV reader
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _csv_reader_refused():
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clean file went through csv.reader")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csv, "reader", refuse)
+        yield
+
+
+PLAIN_VOTERS = ("v1", "v2", "v3", "v10", "\u00e95")  # one id is not ASCII
+PLAIN_CANDIDATES = ("a", "b", "c", "\u00e4")
+#: lines that each keep a file off the counted path; {v}, {c} and {g} are a
+#: voter, candidate and grade of the file
+DIRTY_LINES = {
+    "ragged": ("{v},{c}", "{v},{c},{g},x", "{v}", ",,,"),
+    "whitespace only": (" ", "\t", " , , ", "\u2028"),
+    "padded": (" {v},{c},{g}", "{v},{c} ,{g}", "{v},{c},{g}\t", "{v},\x0b{c},{g}"),
+    "inner space": ("{v} x,{c},{g}",),
+    "empty voter": (",{c},{g}",),
+    "empty candidate": ("{v},,{g}",),
+    "empty grade": ("{v},{c},",),
+    "unknown candidate": ("{v},zz,{g}",),
+    "unknown grade": ("{v},{c},bogus",),
+    "quote": ('"{v}",{c},{g}', '{v},{c},{g}"', '{v},"{c}",{g}'),
+    "carriage return": ("{v},{c},{g}\r", "{v}\r,{c},{g}"),
+    "nul": ("{v}\x00,{c},{g}",),
+    "unicode space": ("{v}\u00a0,{c},{g}", "{v},{c},{g}\u2028", "\x85{v},{c},{g}",
+                      "{v},{c}\u3000,{g}", "{v}\x1c,{c},{g}"),
+}
+DIRTY_HEADERS = (" voter_id,candidate,grade", "voter_id,candidate,grade ",
+                 "voter_id,candidate", "voter,candidate,grade")
+
+
+@st.composite
+def quote_free_files(draw):
+    """``(text, scale, candidates, dirt)``: a quote-free file with ``\n`` line
+    ends, clean when ``dirt`` is empty, else with each kind of dirt named.  A
+    clean file may hold blank lines, which the CSV reader skips."""
+    scale = GradeScale(LABELS[:draw(st.integers(2, 5))])
+    ids = draw(st.lists(st.sampled_from(PLAIN_CANDIDATES), min_size=1, max_size=3,
+                        unique=True))
+    candidates = tuple(map(Candidate, ids)) if draw(st.booleans()) else ()
+    pairs = draw(st.lists(st.tuples(st.sampled_from(PLAIN_VOTERS), st.sampled_from(ids)),
+                          min_size=1, max_size=10, unique=True))
+    lines = [f"{v},{c},{draw(st.sampled_from(scale.labels))}" for v, c in pairs]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    dirt = draw(st.lists(st.sampled_from([*DIRTY_LINES, "repeat", "header"]),
+                         max_size=2, unique=True))
+    header = ",".join(BALLOT_CSV_HEADER)
+    for kind in dirt:
+        voter, cid = draw(st.sampled_from(pairs))
+        if kind == "header":
+            header = draw(st.sampled_from(DIRTY_HEADERS))
+            continue
+        if kind == "repeat":  # the same grade, or another one
+            line = f"{voter},{cid},{draw(st.sampled_from(scale.labels))}"
+        else:
+            line = draw(st.sampled_from(DIRTY_LINES[kind])).format(
+                v=voter, c=cid, g=scale.labels[0])
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    end = draw(st.sampled_from(["\n", "", "\n\n"]))
+    return bom + "\n".join([header, *lines]) + end, scale, candidates, dirt
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(quote_free_files())
+def test_quote_free_files_match_the_row_by_row_reader(case):
+    text, scale, candidates, dirt = case
+    _reads_like_reference(text, scale, candidates)
+    if not dirt:
+        expected = reference_count(io.StringIO(text), scale, candidates)
+        with _csv_reader_refused():
+            assert count_ballots(io.StringIO(text), scale, candidates) == expected
+
+
+@pytest.mark.parametrize("line", [line for kind in DIRTY_LINES.values() for line in kind])
+@pytest.mark.parametrize("registered", [False, True])
+def test_each_dirty_line_alone_matches_the_row_by_row_reader(line, registered):
+    candidates = (Candidate("a"), Candidate("b")) if registered else ()
+    body = ["v1,a,top", "v2,b,fair", line.format(v="v3", c="a", g="top"), "v3,b,good"]
+    _reads_like_reference("\n".join([",".join(BALLOT_CSV_HEADER), *body, ""]),
+                          GradeScale(LABELS[:3]), candidates)
+
+
+def _limit_cases():
+    """Fields at the csv module's size limit and one character over it."""
+    limit = csv.field_size_limit()
+    return {
+        "voter at the field limit": f"{HEADER}{'v' * limit},a,top\n",
+        "voter over the field limit": f"{HEADER}{'v' * (limit + 1)},a,top\n",
+        "candidate over the field limit": f"{HEADER}v1,{'c' * (limit + 1)},top\n",
+    }
+
+
+HEADER = "voter_id,candidate,grade\n"
+FIXED_FILES = {
+    "clean": f"{HEADER}v1,a,top\nv1,b,fair\nv2,a,good\n",
+    "nul": f"{HEADER}v1,a,top\nv\x002,b,top\n",  # csv refuses it before 3.11
+    "lone carriage return": f"{HEADER}v1,a,top\rv2,b,top\n",
+    "crlf": HEADER.replace("\n", "\r\n") + "v1,a,top\r\nv2,b,top\r\n",
+    "quoted cell": f'{HEADER}v1,a,top\n"v2",b,top\n',
+    "one voter quoted and bare": f'{HEADER}v1,a,top\n"v1",b,top\n',
+    "a repeat hidden by quotes": f'{HEADER}v1,a,top\n"v1",a,fair\n',
+    "quote inside a cell": f'{HEADER}v1,a,to"p\n',
+    "padded cell": f"{HEADER}v1, a,top\n",
+    "padded header": " voter_id , candidate,grade\nv1,a,top\n",
+    "tab": f"{HEADER}v1,a,top\t\n",
+    "no-break space": f"{HEADER}v1\u00a0,a,top\n",
+    "inner no-break space": f"{HEADER}v\u00a01,a,top\n",
+    "line separator": f"{HEADER}v1,a,top\u2028\n",
+    "next line": f"{HEADER}\x85v1,a,top\n",
+    "file separator": f"{HEADER}v1,a\x1c,top\n",
+    "blank line": f"{HEADER}v1,a,top\n\nv2,b,top\n",
+    "whitespace-only line": f"{HEADER}v1,a,top\n \t \nv2,b,top\n",
+    "trailing blank lines": f"{HEADER}v1,a,top\n\n\n",
+    "no final newline": f"{HEADER}v1,a,top\nv2,b,fair",
+    "byte-order mark": f"\ufeff{HEADER}v1,a,top\n",
+    "two byte-order marks": f"\ufeff\ufeff{HEADER}v1,a,top\n",
+    "mark inside a cell": f"{HEADER}v\ufeff1,a,top\n",
+    "not ASCII": f"{HEADER}v\u00e9,\u00e4,top\nv2,a,fair\n",
+    "header only": HEADER,
+    "header without a line end": HEADER.strip(),
+    "empty voter": f"{HEADER},a,top\nv2,b,top\n",
+    "empty candidate": f"{HEADER}v1,,top\nv2,b,top\n",
+    "empty grade": f"{HEADER}v1,a,\n",
+    "four fields": f"{HEADER}v1,a,top,x\n",
+    "repeat with the same grade": f"{HEADER}v1,a,top\nv1,a,top\n",
+    "repeat with another grade": f"{HEADER}v1,a,top\nv2,b,top\nv1,a,fair\n",
+    **_limit_cases(),
+}
+
+
+@pytest.mark.parametrize("name", list(FIXED_FILES))
+@pytest.mark.parametrize("candidates", [(), (Candidate("a"), Candidate("b"))])
+def test_fixed_quote_free_cases_match_the_row_by_row_reader(name, candidates):
+    _reads_like_reference(FIXED_FILES[name], GradeScale(LABELS[:3]), candidates)
+
+
+def test_the_ascii_space_list_is_what_strip_removes():
+    spaces = {ch for ch in map(chr, range(128)) if ch.isspace()}
+    assert set(ballot_io._ASCII_SPACE) == spaces - {"\n"}
+
+
+def test_a_grade_label_with_a_comma_is_never_counted_from_lines():
+    # csv reads "v1,a,very,good" as four fields, not as the label "very,good"
+    scale = GradeScale(("very,good", "bad"))
+    text = f"{HEADER}v1,a,very,good\nv2,a,bad\n"
+    _reads_like_reference(text, scale, ())
+    _, report, _ = count_ballots(io.StringIO(text), scale)
+    assert [issue.reason for issue in report.issues] == ["expected 3 fields, got 4"]
+
+
+def test_a_row_of_two_fields_is_ragged_even_with_an_empty_label():
+    scale = GradeScale(("top", ""))
+    text = f"{HEADER}v1,a\nv2,a,top\n"
+    _reads_like_reference(text, scale, ())
+    _, report, _ = count_ballots(io.StringIO(text), scale)
+    assert [issue.reason for issue in report.issues] == ["expected 3 fields, got 2"]
+
+
+def test_a_pair_repeated_with_another_grade_keeps_the_first():
+    text = f"{HEADER}v1,b,fair\nv1,a,top\nv2,c,good\nv1,b,top\nv2,a,good\n"
+    scale = GradeScale(LABELS[:3])
+    election, report, roster = count_ballots(io.StringIO(text), scale)
+    assert [c.id for c in roster] == ["b", "a", "c"]  # first appearance
+    assert report.issues == [ParseIssue(5, "v1", "duplicate grade for candidate 'b'")]
+    assert [p.counts for p in election.profiles] == [(0, 0, 2), (1, 1, 0), (0, 1, 1)]
+    _reads_like_reference(text, scale, ())
+
+
+def test_an_inferred_roster_follows_first_appearance_on_the_counted_path():
+    text = f"{HEADER}v1,c,top\nv2,a,fair\nv1,b,good\nv2,c,top\n"
+    with _csv_reader_refused():
+        election, report, roster = count_ballots(io.StringIO(text), GradeScale(LABELS[:3]))
+    assert [c.id for c in roster] == ["c", "a", "b"]
+    assert (report.n_rows, report.n_ballots, report.ok) == (4, 2, True)
+    assert [p.counts for p in election.profiles] == [(2, 0, 0), (0, 0, 2), (0, 1, 1)]
+
+
+def test_blank_lines_are_skipped_on_the_counted_path():
+    text = f"{HEADER}\nv1,a,top\n\n\nv2,b,fair\n\n"
+    scale = GradeScale(LABELS[:3])
+    expected = reference_count(io.StringIO(text), scale)
+    assert (expected[1].n_rows, expected[1].ok) == (2, True)
+    with _csv_reader_refused():
+        assert count_ballots(io.StringIO(text), scale) == expected
+
+
+@pytest.mark.parametrize("name", ["smalltown", "school3"])
+def test_a_clean_file_never_calls_the_csv_reader(name, tmp_path, monkeypatch, capsys):
+    assert main(["demo", name, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv = ["tally", "--config", str(tmp_path / f"{name}.config.json"),
+            "--ballots", str(tmp_path / f"{name}.ballots.csv")]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "count_ballots", reference_count)
+        expected = _tally(argv, capsys)
+    assert expected[0] == 0
+    with _csv_reader_refused():
+        assert _tally(argv, capsys) == expected
 
 
 def test_a_file_with_a_rejected_row_is_read_in_one_csv_pass(monkeypatch):

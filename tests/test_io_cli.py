@@ -795,6 +795,31 @@ def test_cli_check_names_borderline_candidates_and_the_rejection(tmp_path, capsy
     )
 
 
+def _check_json(tmp_path, capsys, method, ballots):
+    config = tmp_path / "check.json"
+    config.write_text(f'{{"method": "{method}", "candidates": [{{"id": "a"}}, {{"id": "b"}}]}}')
+    (tmp_path / "check.csv").write_text("voter_id,candidate,grade\n" + ballots)
+    rc = main(["check", "--config", str(config), "--ballots", str(tmp_path / "check.csv"),
+               "--format", "json"])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_cli_check_json_states_the_approval3_rejection(tmp_path, capsys):
+    rc, report = _check_json(tmp_path, capsys, "approval3", "v1,a,strong\nv2,b,weak\n")
+    assert rc == 0
+    assert list(report)[-3:] == ["borderline", "rejected", "violations_found"]
+    assert (report["borderline"], report["rejected"]) == (["a", "b"], True)
+    rc, report = _check_json(tmp_path, capsys, "approval3", "v1,a,strong\nv2,a,weak\n")
+    assert (rc, report["borderline"], report["rejected"]) == (0, [], False)
+
+
+def test_cli_check_json_of_other_methods_has_no_rejected_key(tmp_path, capsys):
+    for method, grade in (("mj3", "positive"), ("mj", "positive")):
+        rc, report = _check_json(tmp_path, capsys, method, f"v1,a,{grade}\nv2,b,{grade}\n")
+        assert rc == 0
+        assert "rejected" not in report and "borderline" not in report
+
+
 def _tally(tmp_path, capsys, config, ballots, name="ballots.json"):
     """Exit code, stdout and stderr of ``tally`` on a config and a ballot text."""
     (tmp_path / "config.json").write_text(config)
@@ -817,7 +842,7 @@ def test_cli_tally_refuses_grade_ballots_that_are_not_json(tmp_path, capsys):
 
 
 def test_cli_tally_drops_a_json_grade_for_an_unregistered_candidate(tmp_path, capsys):
-    # the entry's other grades still count
+    # the entry's other grades still count, and the warning says so
     ballots = '[{"voter_id": "v1", "grades": {"a": "positive", "zz": "neutral"}}]'
     assert _tally(tmp_path, capsys, MJ3_A, ballots) == (
         1,
@@ -825,7 +850,27 @@ def test_cli_tally_drops_a_json_grade_for_an_unregistered_candidate(tmp_path, ca
         "=============================================================\n"
         "1     a               100        0         0      1         0\n"
         "1 ballots\n",
-        "warning: row 1 voter v1: unknown candidate 'zz' (row rejected)\n",
+        "warning: row 1 voter v1: unknown candidate 'zz' (only this grade dropped)\n",
+    )
+
+
+def test_cli_tally_drops_a_json_grade_with_an_unknown_label(tmp_path, capsys):
+    ballots = ('[{"voter_id": "v1", "grades": {"a": "great"}}, '
+               '{"voter_id": "v2", "grades": {"a": "negative"}}]')
+    rc, out, err = _tally(tmp_path, capsys, MJ3_A, ballots)
+    assert (rc, out.splitlines()[-1]) == (1, "2 ballots")
+    assert err == ("warning: row 1 voter v1: unknown grade 'great' (only this grade dropped)\n"
+                   "note: ballots grading no candidate (count at the worst grade "
+                   "everywhere): v1\n")
+
+
+def test_cli_tally_still_rejects_whole_json_entries(tmp_path, capsys):
+    ballots = ('[{"voter_id": "v1", "grades": {"a": "positive"}}, '
+               '{"voter_id": "v1", "grades": {"a": "negative"}}, 3]')
+    assert _tally(tmp_path, capsys, MJ3_A, ballots)[::2] == (
+        1,
+        "warning: row 2 voter v1: duplicate voter_id (row rejected)\n"
+        "warning: row 3: entry needs 'voter_id' and 'grades' object (row rejected)\n",
     )
 
 

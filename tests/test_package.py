@@ -73,6 +73,22 @@ def test_tally_loads_neither_the_harness_nor_the_fixtures(tmp_path):
     assert "gradevote.fixtures" not in loaded
 
 
+@pytest.mark.parametrize("command", ["tally", "check"])
+def test_grade_commands_never_load_the_bracket_module(command, tmp_path):
+    (tmp_path / "c.json").write_text('{"method": "mj3", "candidates": [{"id": "a"}]}')
+    (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\n")
+    loaded = _fresh(
+        "import io, json, sys\nfrom contextlib import redirect_stdout\n"
+        "from gradevote.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    code = main([{command!r}, '--config', {str(tmp_path / 'c.json')!r}, "
+        f"'--ballots', {str(tmp_path / 'b.csv')!r}])\n"
+        f"assert code == 0\nprint({_LOADED})"
+    )
+    assert "gradevote.ballot_io" in loaded
+    assert "gradevote.bracket" not in loaded
+
+
 def test_star_import_gives_every_public_name_from_its_module():
     # each name must be the very object the module defines, not a copy
     names = _fresh(
