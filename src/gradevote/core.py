@@ -34,6 +34,8 @@ class GradeScale:
             raise ConfigError("a grade scale needs at least two grades")
         if len(set(self.labels)) != len(self.labels):
             raise ConfigError(f"duplicate grade labels in scale {self.labels!r}")
+        if "" in self.labels:
+            raise ConfigError(f"empty grade label in scale {self.labels!r}")
 
     @property
     def size(self) -> int:

@@ -33,7 +33,10 @@ looked-up key, its count and its position.  The exhaustive search builds the
 table once per tally and electorate size.  Both consistency checks decide
 their partitions, given as bitmasks over the ballots, by popcounts, with no
 tally rebuilt per partition: :func:`_check_masks` decides a block of masks
-at a time from per-candidate key columns and a strongest-rival filter.
+at a time.  Per-candidate sign tables first drop every mask where some
+candidate's score strictly switches sign, which can never meet the premise;
+key columns are built for the rest only, and a strongest-rival filter keeps
+the masks whose parts share a unique top.
 :func:`search_cross_method_disagreements` compares whole orders and tie
 groups, taken from each method's sort key computed once per tally; the full
 rankers remain its test oracle.
@@ -45,7 +48,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, product, repeat
 from math import prod
-from operator import add, and_, itemgetter, lt
+from operator import and_, itemgetter, lt, mul
 
 from .approval import ApprovalTally, classify_block
 from .core import (
@@ -220,16 +223,24 @@ class PartitionCheckReport:
 def _ballot_vectors(
     election: ElectionProfile, ballots: Sequence[Ballot]
 ) -> list[tuple[int, ...]]:
-    """Completed grade-position vectors, one per ballot, checked against the tally."""
+    """Completed grade-position vectors, one per ballot, checked against the
+    tally.  A missing grade completes to the worst position, as
+    :meth:`Ballot.grade_index` does."""
     ids = [c.id for c in election.candidates]
-    vectors = [
-        tuple(b.grade_index(cid, election.scale) for cid in ids) for b in ballots
-    ]
-    rebuilt = [[0] * election.scale.size for _ in ids]
-    for vec in vectors:
-        for ci, gi in enumerate(vec):
-            rebuilt[ci][gi] += 1
-    if [tuple(r) for r in rebuilt] != [p.counts for p in election.profiles]:
+    scale = election.scale
+    position: dict[str | None, int] = {label: g for g, label in enumerate(scale.labels)}
+    position[None] = scale.size - 1
+    try:
+        vectors = [tuple(map(position.__getitem__, map(b.grades.get, ids)))
+                   for b in ballots]
+    except (KeyError, TypeError):  # the scale names the first unknown label
+        for b in ballots:
+            for cid in ids:
+                b.grade_index(cid, scale)
+        raise
+    columns = [list(map(itemgetter(c), vectors)) for c in range(len(ids))]
+    rebuilt = [tuple(map(column.count, range(scale.size))) for column in columns]
+    if rebuilt != [p.counts for p in election.profiles]:
         raise ValidationError("ballots do not reproduce the election profile")
     return vectors
 
@@ -250,45 +261,91 @@ def _popcounts(bits: int, masks: Iterable[int]) -> list[int]:
     return list(map(int.bit_count, map(bits.__and__, masks)))
 
 
+def _sign_table(table: Sequence[int], end: int) -> list[bool]:
+    """``ok[j]`` for each part-1 index ``j <= end`` of a candidate whose
+    totals sit at index ``end`` of the key list ``table``: whether the keys of
+    part 1 and of part 2 (index ``end - j``) keep their sign, that is, have no
+    strict sign switch.  A key's sign is minus its score's."""
+    return list(map((0).__le__, map(mul, table, table[end::-1])))
+
+
 def _key_columns(
     masks: Iterable[int], signs: list, totals: list[tuple[int, int, int]], n: int
-) -> Iterator[tuple[Sequence[int], list[Sequence[int]], list[Sequence[int]]]]:
-    """Each block of at most ``_BLOCK`` masks, in order, with per candidate a
-    column of part-1 keys and one of part-2 keys (:func:`_part_keys`), from
-    popcounts against the candidate's positive and negative ballot bitmasks.
-    A range is cut at multiples of ``_BLOCK``: a candidate's part index ``p *
-    (n + 1) + q`` is then a base per block plus a low-bits table built once,
-    looked up in slices of one key list of every index, part 2's reversed
-    (``table[total - base::-1][i]`` is the key at ``total - base - i``).
-    Other masks have their part tallies counted per block."""
+) -> Iterator[tuple[int, list[int], list[list[int]], list[list[int]]]]:
+    """Each block of at most ``_BLOCK`` masks, in order, as its size, the
+    masks of it where no candidate's key strictly switches sign between the
+    parts (a key's sign is minus its score's: ``s > 0`` iff ``p > q``, ``s =
+    0`` iff ``p = q = 0``), and per candidate a column of part-1 keys and one
+    of part-2 keys (:func:`_part_keys`) for those masks only.  A part's ``(p,
+    q)`` are popcounts against the candidate's positive and negative ballot
+    bitmasks.
+
+    A range is cut at multiples of ``_BLOCK``: a candidate's part-1 index ``j
+    = p * (n + 1) + q`` is then a base per block plus a low-bits index built
+    once, and its part-2 index is ``e - j``, ``e`` being the index of its
+    totals.  So one key list of every index gives both keys, and one sign
+    table per candidate (:func:`_sign_table`) each mask's flag: the first
+    candidate's flags are taken for the whole block by its low-bits getter,
+    each other candidate's only for the masks still kept, and keys are looked
+    up for the masks every flag keeps.  Other masks have their part keys
+    counted per block, with no table of every index (that would hold ``(n +
+    1)²`` keys), and are kept by ``k1 * k2 >= 0``.
+    """
     side = n + 1
     if isinstance(masks, range) and masks.step == 1:
         table = _part_keys(n, [(p, 0, q) for p in range(side) for q in range(side)])
-        first = range(min(_BLOCK, masks.stop))
-        low = [itemgetter(*map(add, map(side.__mul__, _popcounts(pos, first)),
-                               _popcounts(neg, first)))
-               for pos, neg in signs]
         ends = [p * side + q for p, _, q in totals]
+        oks = [_sign_table(table, e) for e in ends]
+        # low[i]: the part-1 index of the low bits i, doubled bit by bit (at
+        # least one bit, so that the getter below returns a tuple)
+        bits = min(_BLOCK.bit_length() - 1, max(1, (masks.stop - 1).bit_length()))
+        lows = []
+        for pos, neg in signs:
+            low = [0]
+            for bit in range(bits):
+                step = side if pos >> bit & 1 else neg >> bit & 1
+                low += [j + step for j in low]
+            lows.append(low)
+        get = itemgetter(*lows[0])
         for start in range(masks.start & -_BLOCK, masks.stop, _BLOCK):
             block = range(max(start, masks.start), min(start + _BLOCK, masks.stop))
-            cut = slice(block.start - start, block.stop - start)
             bases = [(start & pos).bit_count() * side + (start & neg).bit_count()
                      for pos, neg in signs]
+            cut = slice(block.start - start, block.stop - start)
+            at = list(compress(range(cut.start, cut.stop), get(oks[0][bases[0]:])[cut]))
+            for ok, b, low in zip(oks[1:], bases[1:], lows[1:]):
+                if not at:
+                    break
+                ok = ok[b:]
+                at = list(compress(at, map(ok.__getitem__, map(low.__getitem__, at))))
+            parts1 = [[b + low[i] for i in at] for b, low in zip(bases, lows)]
             yield (
-                block,
-                [get(table[b:])[cut] for b, get in zip(bases, low)],
-                [get(table[e - b::-1])[cut] for b, e, get in zip(bases, ends, low)],
+                len(block),
+                [start + i for i in at],
+                [list(map(table.__getitem__, js)) for js in parts1],
+                [list(map(table.__getitem__, map(e.__sub__, js)))
+                 for e, js in zip(ends, parts1)],
             )
         return
     masks = iter(masks)
     while block := list(islice(masks, _BLOCK)):
         ps = [_popcounts(pos, block) for pos, _ in signs]
         qs = [_popcounts(neg, block) for _, neg in signs]
+        columns1 = [_part_keys(n, zip(p, repeat(0), q)) for p, q in zip(ps, qs)]
+        columns2 = [
+            _part_keys(n, zip(map(tp.__sub__, p), repeat(0), map(tq.__sub__, q)))
+            for p, q, (tp, _, tq) in zip(ps, qs, totals)
+        ]
+        at = range(len(block))
+        for k1, k2 in zip(columns1, columns2):
+            ok = list(map((0).__le__, map(mul, k1, k2)))
+            if not (at := list(compress(at, map(ok.__getitem__, at)))):
+                break
         yield (
-            block,
-            [_part_keys(n, zip(p, repeat(0), q)) for p, q in zip(ps, qs)],
-            [_part_keys(n, zip(map(tp.__sub__, p), repeat(0), map(tq.__sub__, q)))
-             for p, q, (tp, _, tq) in zip(ps, qs, totals)],
+            len(block),
+            [block[i] for i in at],
+            [[column[i] for i in at] for column in columns1],
+            [[column[i] for i in at] for column in columns2],
         )
 
 
@@ -332,9 +389,13 @@ def _check_masks(
     Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
     part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
     candidate's positive and negative ballot bitmasks, taken as one ``mj3``
-    key (:func:`_key_columns`), a block of masks at a time.  Only the masks whose
-    parts share a unique top (:func:`_unique_tops`) reach the sign and
-    premise tests, in mask order.
+    key, a block of masks at a time.  A strict sign switch for *any*
+    candidate breaks score additivity across the parts (positives cancelled
+    inside one part reappear in the union), and with it the consistency
+    guarantee, so :func:`_key_columns` drops those masks before it builds a
+    key column.  Of the masks it keeps, only those whose parts share a unique
+    top (:func:`_unique_tops`) reach the winner's sign test and the premise
+    records, in mask order.
     """
     require_rankable(election)
     ids = [c.id for c in election.candidates]
@@ -357,21 +418,18 @@ def _check_masks(
         n_premise_satisfied=0,
         sampled=sampled,
     )
-    for block, columns1, columns2 in _key_columns(masks, signs, totals, n):
-        report.n_partitions_checked += len(block)
+    for size, kept, columns1, columns2 in _key_columns(masks, signs, totals, n):
+        report.n_partitions_checked += size
+        if not kept:
+            continue
         for at, w in _unique_tops(columns1, columns2, strongest):
-            mask = block[at]
+            mask = kept[at]
             keys1 = [column[at] for column in columns1]
             keys2 = [column[at] for column in columns2]
-            # a key's sign is minus its score's (s > 0 iff p > q, s = 0 iff
-            # p = q = 0), so the sign tests read the keys
+            # _key_columns kept no strict sign switch, so the winner's scores
+            # keep their sign unless exactly one of them is zero
             k1, k2 = keys1[w], keys2[w]
-            if not (k1 * k2 > 0 or (k1 == 0 and k2 == 0)):
-                continue
-            # A strict sign switch for *any* candidate breaks score additivity
-            # across the parts (positives cancelled inside one part reappear in
-            # the union), and with it the consistency guarantee.
-            if any(a * b < 0 for a, b in zip(keys1, keys2)):
+            if (k1 == 0) != (k2 == 0):
                 continue
             # |t| <= n, so each key gives back its score s exactly
             scores1, scores2 = (

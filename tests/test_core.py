@@ -79,6 +79,8 @@ def test_scale_needs_two_distinct_grades():
         GradeScale(("solo",))
     with pytest.raises(ConfigError):
         GradeScale(("a", "a"))
+    with pytest.raises(ConfigError, match="empty grade label"):
+        GradeScale(("good", "", "bad"))
 
 
 def test_scale_lookup():

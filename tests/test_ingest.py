@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from gradevote import (
     Ballot,
     Candidate,
+    ConfigError,
     GradeScale,
     ValidationError,
     build_profiles,
@@ -430,11 +431,16 @@ def test_a_grade_label_with_a_comma_is_never_counted_from_lines():
 
 
 def test_a_row_of_two_fields_is_ragged_even_with_an_empty_label():
-    scale = GradeScale(("top", ""))
-    text = f"{HEADER}v1,a\nv2,a,top\n"
+    # a scale cannot hold an empty label, so an empty grade cell is unknown
+    # and a row of two fields stays ragged
+    with pytest.raises(ConfigError, match="empty grade label"):
+        GradeScale(("top", ""))
+    scale = GradeScale(("top", "bottom"))
+    text = f"{HEADER}v1,a\nv2,a,top\nv3,a,\n"
     _reads_like_reference(text, scale, ())
     _, report, _ = count_ballots(io.StringIO(text), scale)
-    assert [issue.reason for issue in report.issues] == ["expected 3 fields, got 2"]
+    assert [issue.reason for issue in report.issues] == [
+        "expected 3 fields, got 2", "unknown grade ''"]
 
 
 def test_a_pair_repeated_with_another_grade_keeps_the_first():

@@ -670,6 +670,22 @@ def test_cli_refuses_a_duplicate_candidate_id(tmp_path, capsys, command):
     assert captured.err == "error: duplicate candidate id 'a'\n"
 
 
+@pytest.mark.parametrize("command", ["tally", "check"])
+def test_cli_refuses_an_empty_grade_label(tmp_path, capsys, command):
+    # an empty label would count empty grade cells as a grade
+    config = tmp_path / "empty.json"
+    config.write_text(
+        '{"method": "mj", "scale": ["good", "", "bad"], "candidates": [{"id": "a"}]}'
+    )
+    ballots = tmp_path / "empty.csv"
+    ballots.write_text("voter_id,candidate,grade\nv1,a,\nv2,a,good\n")
+    assert main([command, "--config", str(config), "--ballots", str(ballots)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: empty grade label in scale ('good', '', 'bad')\n")
+
+
 @pytest.mark.parametrize("limit", ["9.7", '"10"', "true", "null"])
 def test_cli_check_refuses_a_limit_that_is_not_an_integer(tmp_path, capsys, limit):
     config = tmp_path / "limit.json"

@@ -40,7 +40,7 @@ from gradevote import (
 from gradevote import properties
 from gradevote.core import ElectionProfile
 from gradevote.fixtures import school_outing, school_outing_3grade
-from gradevote.mj3 import MJ3_SCALE_LABELS
+from gradevote.mj3 import MJ3_SCALE_LABELS, Tally3, score3
 from gradevote.properties import (
     ConsistencyViolation,
     CrossMethodReport,
@@ -234,6 +234,25 @@ def test_sampled_check_runs_large_electorates():
     assert report.sampled
     assert report.n_partitions_checked == 200
     assert report.ok
+
+
+def test_sampled_check_builds_no_table_of_every_part_index(monkeypatch):
+    # a sampled check of n ballots must not key all (n + 1)² part tallies:
+    # at 10,000 ballots that table would hold 100 M entries
+    sizes = []
+
+    def spy(n, tallies):
+        tallies = list(tallies)
+        sizes.append(len(tallies))
+        return part_keys(n, tallies)
+
+    part_keys = properties._part_keys
+    monkeypatch.setattr(properties, "_part_keys", spy)
+    rng = random.Random(60)
+    election, ballots, _ = _leaning_election(rng, 400, 3, lean=True)
+    report = check_consistency(election, ballots, samples=1500, seed=1)
+    assert report.sampled and report.n_partitions_checked == 1500
+    assert max(sizes) == 1024  # one block of masks
 
 
 def test_sampled_partitions_are_distinct():
@@ -813,26 +832,48 @@ def test_block_kernel_on_one_candidate_and_on_a_tied_top():
         check_consistency(election, ballots, limit=13)
 
 
-def test_rival_filter_keeps_exactly_the_shared_unique_tops(monkeypatch):
-    blocks = []
+def _mask_keys(vectors: Sequence[tuple[int, ...]]):
+    """The reference's key rule: each candidate's integer ``mj3`` key of the
+    part of ``vectors`` that a bitmask selects, recounted per mask."""
+    span = 2 * len(vectors) + 1
+    signs = [
+        [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
+        for c in range(len(vectors[0]))
+    ]
 
-    def spy(keys1, keys2, strongest):
-        found = _unique_tops(keys1, keys2, strongest)
-        blocks.append((keys1, keys2, found))
-        return found
+    def keys(part: int) -> list[int]:
+        return [
+            q - p * span if p > q else q * span - p
+            for pos, neg in signs
+            for p in ((part & pos).bit_count(),)
+            for q in ((part & neg).bit_count(),)
+        ]
 
-    monkeypatch.setattr(properties, "_unique_tops", spy)
+    return keys
+
+
+def test_rival_filter_keeps_exactly_the_shared_unique_tops():
     rng = random.Random(8128)
-    shared = 0  # blocks with more than one top, which must come out interleaved
-    while shared < 4 or len(blocks) < 24:
+    blocks = shared = 0  # shared: blocks with more than one top, interleaved
+    for _ in range(60):  # a bounded draw: too few blocks fails, it never hangs
+        if shared >= 4 and blocks >= 24:
+            break
         n, n_cands = rng.randint(11, 13), rng.randint(2, 4)
-        election, ballots, vectors = _leaning_election(rng, n, n_cands, lean=False)
-        if _reference_report(election, vectors, ()) is None:  # a tied combined top
+        _, _, vectors = _leaning_election(rng, n, n_cands, lean=False)
+        keys, everyone = _mask_keys(vectors), (1 << n) - 1
+        overall = keys(everyone)
+        if overall.count(min(overall)) != 1:  # a tied combined top
             continue
-        start = len(blocks)
-        check_consistency(election, ballots, limit=n)
-        check_consistency(election, ballots, limit=n - 1, samples=2 ** n // 5, seed=n)
-        for keys1, keys2, found in blocks[start:]:
+        strongest = sorted(range(n_cands), key=overall.__getitem__)
+        labeled = list(range(1, 2 ** (n - 1)))
+        drawn = rng.sample(range(1, everyone), 1024)
+        for block in (*(labeled[i:i + 1024] for i in range(0, len(labeled), 1024)),
+                      drawn):
+            # full key columns, one row per mask: no mask filtered out first
+            keys1 = [list(column) for column in zip(*map(keys, block))]
+            keys2 = [list(column) for column in
+                     zip(*(keys(everyone ^ mask) for mask in block))]
+            found = _unique_tops(keys1, keys2, strongest)
             expected = []
             for i, (part1, part2) in enumerate(zip(zip(*keys1), zip(*keys2))):
                 top1, top2 = min(part1), min(part2)
@@ -840,7 +881,70 @@ def test_rival_filter_keeps_exactly_the_shared_unique_tops(monkeypatch):
                 if part1.count(top1) == part2.count(top2) == 1 and part2[w] == top2:
                     expected.append((i, w))
             assert found == expected
+            blocks += 1
             shared += len({w for _, w in found}) > 1
+    assert shared >= 4 and blocks >= 24
+
+
+def test_sign_tables_follow_the_recount_rule():
+    # ok[j] holds exactly when the two parts' scores (score3's s) are not of
+    # strict opposite signs
+    for n in range(13):
+        side = n + 1
+        table = properties._part_keys(
+            n, [(p, 0, q) for p in range(side) for q in range(side)])
+        for tp, tq in ((tp, tq) for tp in range(side) for tq in range(side - tp)):
+            end = tp * side + tq
+            ok = properties._sign_table(table, end)
+            assert len(ok) == end + 1
+            for p, q in product(range(tp + 1), range(tq + 1)):
+                s1 = score3(Tally3(p, n - tp - tq, q)).s
+                s2 = score3(Tally3(tp - p, 0, tq - q)).s
+                assert ok[p * side + q] == (s1 * s2 >= 0), (n, tp, tq, p, q)
+
+
+def _sign_survivors(vectors, masks):
+    """The masks where no candidate's score strictly switches sign."""
+    keys, everyone = _mask_keys(vectors), (1 << len(vectors)) - 1
+    return [mask for mask in masks
+            if all(a * b >= 0 for a, b in zip(keys(mask), keys(everyone ^ mask)))]
+
+
+def test_block_kernel_on_blocks_with_no_and_with_one_sign_survivor():
+    rng = random.Random(3141)
+    n, labeled = 13, range(1, 2 ** 12)
+    for _ in range(20):  # a bounded draw
+        election, _, vectors = _leaning_election(rng, n, 3, lean=False)
+        if _reference_report(election, vectors, ()) is None:  # a tied combined top
+            continue
+        survivors = _sign_survivors(vectors, labeled)
+        # a premise mask with at least one non-survivor on each side
+        found = next((
+            (before, mask, after)
+            for before, mask, after in zip(survivors, survivors[1:], survivors[2:])
+            if mask - before > 1 and after - mask > 1 and _reference_check_masks(
+                election, vectors, [mask], sampled=False).premises
+        ), None)
+        if found:
+            break
+    else:
+        pytest.fail("no premise mask between two non-survivors drawn")
+    before, mask, after = found
+    others = sorted(set(labeled) - set(survivors))
+    cases = {
+        "none": range(before + 1, mask),
+        "one": range(before + 1, after),
+        "alone": range(mask, mask + 1),
+        # one whole block of the per-block path
+        "block": [mask] + rng.sample(others, 1023),
+    }
+    for name, masks in cases.items():
+        for masks in (masks, list(masks)):  # a range, and the per-block path
+            got = _check_masks(election, vectors, masks, sampled=False)
+            assert got == _reference_check_masks(election, vectors, masks, sampled=False)
+            assert got.n_partitions_checked == len(masks)
+            assert got.n_premise_satisfied == (name != "none"), name
+    assert len(cases["none"]) and len(cases["one"]) > 2
 
 
 def test_sample_count_must_be_positive():
@@ -869,6 +973,21 @@ def test_check_requires_matching_ballots():
     ]
     with pytest.raises(ValidationError, match="do not reproduce"):
         check_consistency(election, wrong)
+
+
+def test_ballot_vectors_name_the_first_unknown_label_as_the_scale_does():
+    election, ballots = _election(
+        [{"a": "positive", "b": "neutral"}, {"b": "negative"}, {"a": "neutral"}]
+    )
+    assert properties._ballot_vectors(election, ballots) == [(0, 1), (2, 2), (1, 2)]
+    for label in ("great", ["x"], 0):
+        wrong = [ballots[0], Ballot("v2", {"a": "neutral", "b": label}),
+                 Ballot("v3", {"a": "bad"})]
+        with pytest.raises(ValidationError) as raised:
+            properties._ballot_vectors(election, wrong)
+        assert str(raised.value) == f"unknown grade label {label!r}"
+        with pytest.raises(ValidationError, match="unknown grade label"):
+            search_no_show(election, wrong)
 
 
 def test_check_requires_three_grades():
