@@ -202,6 +202,7 @@ def _describe_counterexample(ce) -> str:
 def cmd_check(args: argparse.Namespace) -> int:
     from .properties import (
         NoUniqueWinnerError,
+        OutputCapError,
         check_consistency,
         manipulation_probe,
         polarization_sweep,
@@ -237,23 +238,30 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"candidates: {len(election.candidates)}"
     ]
 
-    counterexamples = search_no_show(election, ballots, method=config.method)
-    findings += len(counterexamples)
-    report["no_show"] = {
-        "n_counterexamples": len(counterexamples),
-        "counterexamples": [
-            {
-                "kind": ce.kind,
-                "voter_id": ce.voter_id,
-                "grades": dict(ce.grades),
-                "before": _describe_outcome(ce.before),
-                "after": _describe_outcome(ce.after),
-            }
-            for ce in counterexamples
-        ],
-    }
-    lines.append(f"no-show search: {len(counterexamples)} counterexample(s)")
-    lines.extend(f"  {_describe_counterexample(ce)}" for ce in counterexamples)
+    # a search with too many items to list is skipped with their exact count
+    try:
+        counterexamples = search_no_show(election, ballots, method=config.method)
+    except OutputCapError as exc:
+        findings += exc.count
+        report["no_show"] = {"n_counterexamples": exc.count, "skipped": str(exc)}
+        lines.append(f"no-show search: skipped ({exc})")
+    else:
+        findings += len(counterexamples)
+        report["no_show"] = {
+            "n_counterexamples": len(counterexamples),
+            "counterexamples": [
+                {
+                    "kind": ce.kind,
+                    "voter_id": ce.voter_id,
+                    "grades": dict(ce.grades),
+                    "before": _describe_outcome(ce.before),
+                    "after": _describe_outcome(ce.after),
+                }
+                for ce in counterexamples
+            ],
+        }
+        lines.append(f"no-show search: {len(counterexamples)} counterexample(s)")
+        lines.extend(f"  {_describe_counterexample(ce)}" for ce in counterexamples)
 
     consistency = None
     # the labeled check and the random sweep both decide by the mj3 score
@@ -325,22 +333,29 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
 
     if args.probe:
-        probe = manipulation_probe(
-            election, ballots, args.probe, method=config.method
-        )
-        report["probe"] = {
-            "voter_id": probe.voter_id,
-            "honest_winner": probe.honest_winner,
-            "n_alternatives": probe.n_alternatives,
-            "improving": [
-                {"grades": dict(d.grades), "winner": d.winner}
-                for d in probe.improving
-            ],
-        }
-        lines.append(
-            f"probe {probe.voter_id}: {len(probe.improving)} improving deviation(s) "
-            f"out of {probe.n_alternatives} (informational)"
-        )
+        try:
+            probe = manipulation_probe(
+                election, ballots, args.probe, method=config.method
+            )
+        except OutputCapError as exc:
+            report["probe"] = {
+                "voter_id": args.probe, "n_improving": exc.count, "skipped": str(exc)
+            }
+            lines.append(f"probe {args.probe}: skipped ({exc})")
+        else:
+            report["probe"] = {
+                "voter_id": probe.voter_id,
+                "honest_winner": probe.honest_winner,
+                "n_alternatives": probe.n_alternatives,
+                "improving": [
+                    {"grades": dict(d.grades), "winner": d.winner}
+                    for d in probe.improving
+                ],
+            }
+            lines.append(
+                f"probe {probe.voter_id}: {len(probe.improving)} improving deviation(s) "
+                f"out of {probe.n_alternatives} (informational)"
+            )
 
     violations_found = findings > 0
     report["violations_found"] = violations_found

@@ -19,10 +19,13 @@ with ``None`` marking an undefined value (zero denominator).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import ConfigError, ElectionProfile, GradeProfile, VoteError
 from .results import MJ3_SCALE, RankedResult, Tallies, ranked  # MJ3_SCALE re-exported
+
+if TYPE_CHECKING:  # alt_scores imports it when called, so a tally never loads it
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,9 @@ class ScorePair:
 class AltScores:
     """Alternative diagnostic scores; ``None`` marks an undefined value."""
 
-    vote_difference: Fraction | None   # (n_pos - n_neg) / n_total
-    relative_margin: Fraction | None   # (n_pos - n_neg) / (n_pos + n_neg)
-    neutral_normalized: Fraction | None  # (n_pos - n_neg) / n_neutral
+    vote_difference: "Fraction | None"   # (n_pos - n_neg) / n_total
+    relative_margin: "Fraction | None"   # (n_pos - n_neg) / (n_pos + n_neg)
+    neutral_normalized: "Fraction | None"  # (n_pos - n_neg) / n_neutral
 
 
 MJ3_SCALE_LABELS = MJ3_SCALE.labels
@@ -79,6 +82,8 @@ def score3(tally: Tally3) -> ScorePair:
 
 def alt_scores(tally: Tally3) -> AltScores:
     """The three alternative scores, exact, with undefined markers."""
+    from fractions import Fraction
+
     difference = tally.n_positive - tally.n_negative
     non_neutral = tally.n_positive + tally.n_negative
     return AltScores(

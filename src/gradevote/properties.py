@@ -28,12 +28,16 @@ profile or ranking built; :func:`outcome_from_counts` decides one election.
 The addition kernel behind :func:`search_no_show`,
 :func:`search_no_show_exhaustive` and :func:`manipulation_probe` builds one
 table per base tally, each candidate's key once one more ballot grades it
-``g``, and decides every extra ballot from lookups alone: the smallest
-looked-up key, its count and its position.  The exhaustive search builds the
-table once per tally and electorate size.  Both consistency checks decide
-their partitions, given as bitmasks over the ballots, by popcounts, with no
-tally rebuilt per partition: :func:`_check_masks` decides a block of masks
-at a time.  Per-candidate sign tables first drop every mask where some
+``g``, and decides the extra ballots per winner ``w`` and grade ``g`` with no
+grade vector enumerated: those that elect ``w`` at ``g`` give every other
+candidate a grade whose key is above ``w``'s, a product of sets, and the
+ones a search reports are counted from products of those sets.  Vectors are
+listed only from a count that is not zero, and a search that would list
+more than 250,000 raises :class:`OutputCapError` with the exact count.  The
+exhaustive search builds the table once per tally and electorate size.
+Both consistency checks decide their partitions, given as bitmasks over the
+ballots, by popcounts, with no tally rebuilt per partition:
+:func:`_check_masks` decides a block of masks at a time.  Per-candidate sign tables first drop every mask where some
 candidate's score strictly switches sign, which can never meet the premise;
 key columns are built for the rest only, and a strongest-rival filter keeps
 the masks whose parts share a unique top.
@@ -131,7 +135,16 @@ def outcome_from_counts(
     return _outcome(ids, _top(*_key_table(method, tallies, n_voters)))
 
 
-_MAX_VECTORS = 250_000  # grade vectors the no-show search and the probe try at most
+_MAX_LISTED = 250_000  # counterexamples or deviations one search lists at most
+
+
+class OutputCapError(VoteError):
+    """A search would list more than ``_MAX_LISTED`` items; ``count`` is
+    their exact number."""
+
+    def __init__(self, count: int, items: str) -> None:
+        super().__init__(f"{count} {items} exceed the output cap of {_MAX_LISTED}")
+        self.count = count
 
 
 def _bump(counts: tuple[int, ...], grade: int, step: int) -> tuple[int, ...]:
@@ -145,8 +158,8 @@ def _addition_rows(
     """The addition kernel's table: row ``c``, entry ``g`` is the key of
     tally ``base[c]`` once one more ballot grades it ``g``, and for a method
     that can reject, whether a strict majority approves that tally (None
-    otherwise).  Every extra ballot is then decided by lookups alone
-    (:func:`_unique_winners`)."""
+    otherwise).  Every extra ballot is then decided from the table alone
+    (:func:`_winning_vectors`)."""
     bumped = [_bump(counts, g, 1) for counts in base for g in range(n_grades)]
     keys, approved = _key_table(method, bumped, n_voters + 1)
     starts = range(0, len(bumped), n_grades)
@@ -156,20 +169,99 @@ def _addition_rows(
     )
 
 
-def _unique_winners(
-    key_rows: Sequence[Sequence], approved_rows: Sequence[Sequence[bool]] | None
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every grade vector (one entry of each row, in ``product`` order) whose
-    looked-up keys elect a unique winner, with that winner's position.
-    Vectors that leave a tie at the top or no tally approved are skipped."""
-    cases = zip(product(*(range(len(row)) for row in key_rows)), product(*key_rows))
-    if approved_rows is not None:
-        cases = (case for case, approved in zip(cases, product(*approved_rows))
-                 if any(approved))
-    for vector, keys in cases:
-        top = min(keys)
-        if keys.count(top) == 1:
-            yield vector, keys.index(top)
+# need mask -> each subset t of it with its inclusion-exclusion sign
+_SIGNED = {
+    0: ((0, 1),),
+    1: ((0, 1), (1, -1)),
+    2: ((0, 1), (2, -1)),
+    3: ((0, 1), (1, -1), (2, -1), (3, 1)),
+}
+
+
+def _suffix_sizes(options: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
+    """``sizes[i][t]``: how many grade vectors over coordinates ``i`` on carry
+    no bit of ``t``; ``options[i]`` lists coordinate ``i``'s ``(grade, bits)``.
+    Those that cover a need mask ``r`` number ``sum(sign * sizes[i][t] for
+    t, sign in _SIGNED[r])``."""
+    sizes = [[1, 1, 1, 1]]
+    for opts in reversed(options):
+        sizes.append([n * sum(not b & t for _, b in opts) for t, n in enumerate(sizes[-1])])
+    return sizes[::-1]
+
+
+def _covering(
+    options: Sequence[Sequence[tuple[int, int]]], sizes: list[list[int]], need: int
+) -> list[tuple[int, ...]]:
+    """Every vector of one grade per coordinate, in ``product`` order, whose
+    grades' bits together cover ``need``.  A prefix is extended only while
+    some vector completes it (:func:`_suffix_sizes`), so the walk costs in
+    proportion to what it lists."""
+    found = []
+
+    def walk(i: int, prefix: tuple, need: int) -> None:
+        if not need:
+            rest = ([h for h, _ in opts] for opts in options[i:])
+            found.extend(prefix + tail for tail in product(*rest))
+            return
+        for h, b in options[i]:
+            left = need & ~b
+            if sum(sign * sizes[i + 1][t] for t, sign in _SIGNED[left]):
+                walk(i + 1, prefix + (h,), left)
+
+    walk(0, (), need)
+    return found
+
+
+def _winning_vectors(
+    key_rows: Sequence[Sequence],
+    approved_rows: Sequence[Sequence[bool]] | None,
+    cases: Iterable[tuple[int, int, Sequence[int] | None]],
+    items: str,
+) -> list[tuple[tuple[int, ...], int]]:
+    """The extra ballots of ``cases``, decided from the table of
+    :func:`_addition_rows`, as ``(grade vector, winner)`` in ``product``
+    order.
+
+    A case ``(w, g, marked)`` takes the ballots that grade ``w`` at ``g``
+    and elect ``w`` uniquely: those that give every other candidate ``d`` a
+    grade of ``S_d``, the grades whose looked-up key is strictly above
+    ``w``'s, and for a method that can reject, some approved tally.  Unless
+    ``marked`` is None, a ballot must also grade some candidate of ``marked``
+    better (a smaller position) than ``g``.  Each condition is a bit a grade
+    may carry, and the ballots that meet them all are counted by
+    inclusion-exclusion over products of ``|S_d|``-sized sets, with no
+    vector built; different ``(w, g)`` share no ballot.  Vectors are listed
+    only for the cases whose count is not zero, and not at all when the
+    counts add up to more than ``_MAX_LISTED`` (:class:`OutputCapError`,
+    naming ``items``).
+    """
+    total, found = 0, []
+    for w, g, marked in cases:
+        top = key_rows[w][g]
+        need = (marked is not None) | (
+            approved_rows is not None and not approved_rows[w][g]) << 1
+        options = []
+        for d, row in enumerate(key_rows):
+            if d == w:
+                options.append(((g, 0),))
+                continue
+            cut = g if marked and d in marked else 0
+            ok = approved_rows[d] if need & 2 else (False,) * len(row)
+            opts = [(h, (h < cut) | ok[h] << 1) for h, key in enumerate(row) if key > top]
+            if not opts:
+                break
+            options.append(opts)
+        else:
+            sizes = _suffix_sizes(options)
+            count = sum(sign * sizes[0][t] for t, sign in _SIGNED[need])
+            if count:
+                total += count
+                found.append((w, options, sizes, need))
+    if total > _MAX_LISTED:
+        raise OutputCapError(total, items)
+    listed = [(vector, w) for w, *cover in found for vector in _covering(*cover)]
+    listed.sort()
+    return listed
 
 
 # --------------------------------------------------------------------------
@@ -600,7 +692,17 @@ def _addition_counterexamples(
     """Every extra ballot, decided from the table ``rows`` of
     :func:`_addition_rows`, whose casting elects a unique winner that the
     ballot grades worse (a larger position) than a candidate of ``before``,
-    the positions of the top key before it was cast."""
+    the positions of the top key before it was cast.  Only a winner ``w``
+    with another candidate in ``before`` can be one, at a grade ``g`` where
+    some such candidate has a better grade whose key is above ``w``'s."""
+    key_rows = rows[0]
+    cases = []
+    for w, row in enumerate(key_rows):
+        if marked := [x for x in before if x != w]:
+            # for g = 1, 2, ...: their largest key at any grade better than g
+            above = accumulate(map(max, zip(*map(key_rows.__getitem__, marked))), max)
+            cases += [(w, g, marked) for g, key in zip(range(1, len(row)), above)
+                      if key > row[g]]
     return [
         NoShowCounterexample(
             kind="addition",
@@ -609,8 +711,7 @@ def _addition_counterexamples(
             before=_outcome(ids, before),
             after=Outcome("winner", winner=ids[w]),
         )
-        for vector, w in _unique_winners(*rows)
-        if any(vector[x] < vector[w] for x in before)
+        for vector, w in _winning_vectors(*rows, cases, "addition counterexamples")
     ]
 
 
@@ -622,22 +723,20 @@ def search_no_show(
 ) -> list[NoShowCounterexample]:
     """Search one election for participation failures.
 
-    The addition form enumerates every possible extra ballot (every grade
+    The addition form covers every possible extra ballot (every grade
     vector over the candidates) and needs only the tallies.  The removal form
     re-tallies the election without each distinct existing ballot and runs
     only when ``ballots`` are supplied, since per-candidate tallies do not
     determine them.  Returns all counterexamples found, additions first.
-    Every outcome is decided from per-tally keys on counts, each extra ballot
-    by lookups in the addition kernel's table (:func:`_addition_rows`).
+    Every outcome is decided from per-tally keys on counts, the extra
+    ballots by product sets over the addition kernel's table
+    (:func:`_winning_vectors`), so the search never enumerates the grade
+    vectors.  It raises :class:`OutputCapError` when there are more than
+    ``_MAX_LISTED`` addition counterexamples to list.
     """
     scale = election.scale
     method = resolve_method(method, scale)
     ids = [c.id for c in election.candidates]
-    n_vectors = scale.size ** len(ids)
-    if n_vectors > _MAX_VECTORS:
-        raise VoteError(
-            f"{n_vectors} candidate grade vectors exceed the addition-search cap"
-        )
     require_rankable(election)
     base = [p.counts for p in election.profiles]
     n = election.n_voters
@@ -891,7 +990,9 @@ def manipulation_probe(
     A deviation improves the outcome when it produces a unique winner whose
     grade *on the voter's honest ballot* is strictly better than the honest
     winner's.  Informational only: outcomes without a unique winner are
-    skipped, not scored.
+    skipped, not scored.  The alternatives are decided by the addition
+    kernel's product sets (:func:`_winning_vectors`), which raise
+    :class:`OutputCapError` when more than ``_MAX_LISTED`` improve.
     """
     scale = election.scale
     method = resolve_method(method, scale)
@@ -910,18 +1011,16 @@ def manipulation_probe(
     )
     if len(honest_top) != 1:
         return report
-    n_vectors = scale.size ** len(ids)
-    if n_vectors > _MAX_VECTORS:
-        raise VoteError(f"{n_vectors} alternative ballots exceed the probe cap")
-    report.n_alternatives = n_vectors - 1  # every ballot but the honest one
+    report.n_alternatives = scale.size ** len(ids) - 1  # all but the honest ballot
     honest_best = honest_vector[honest_top[0]]
     # the honest ballot comes out of the counts once; each alternative goes
-    # in.  The honest ballot itself re-elects the honest winner, so it never
-    # counts as improving.
+    # in.  Only a winner the honest ballot grades better than the honest
+    # winner improves, so the honest ballot itself never does.
     others = [_bump(c, g, -1) for c, g in zip(full, honest_vector)]
     rows = _addition_rows(method, others, election.n_voters - 1, scale.size)
-    for vector, w in _unique_winners(*rows):
-        if honest_vector[w] < honest_best:
-            grades = {cid: scale.labels[g] for cid, g in zip(ids, vector)}
-            report.improving.append(Deviation(grades=grades, winner=ids[w]))
+    cases = [(w, g, None) for w in range(len(ids)) if honest_vector[w] < honest_best
+             for g in range(scale.size)]
+    for vector, w in _winning_vectors(*rows, cases, "improving deviations"):
+        grades = {cid: scale.labels[g] for cid, g in zip(ids, vector)}
+        report.improving.append(Deviation(grades=grades, winner=ids[w]))
     return report

@@ -612,6 +612,80 @@ def _nine_ballot_mj3(tmp_path):
     return str(path)
 
 
+def _write_check(tmp_path, config, grades):
+    """Paths of a config and of a CSV of ``grades``, one dict per voter."""
+    config_path = tmp_path / "check.config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    rows = ["voter_id,candidate,grade"] + [
+        f"v{v + 1},{cid},{grade}" for v, ballot in enumerate(grades)
+        for cid, grade in ballot.items()
+    ]
+    ballots_path = tmp_path / "check.csv"
+    ballots_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return ["--config", str(config_path), "--ballots", str(ballots_path)]
+
+
+def test_cli_check_covers_thirteen_candidates(tmp_path, capsys):
+    # 3^13 = 1,594,323 extra ballots, decided without enumerating them
+    ids = [f"c{i + 1}" for i in range(13)]
+    grades = ("positive", "neutral", "negative")
+    files = _write_check(
+        tmp_path,
+        {"method": "mj3", "candidates": [{"id": cid} for cid in ids]},
+        [{cid: grades[(v + c) % 3 if c else v // 3] for c, cid in enumerate(ids)}
+         for v in range(5)],
+    )
+    assert main(["check", *files, "--probe", "v1", "--samples", "50"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "method: mj3  ballots: 5  candidates: 13",
+        "no-show search: 0 counterexample(s)",
+        "consistency: 15 partitions, 0 matched the premise, 0 violation(s)",
+        "probe v1: 0 improving deviation(s) out of 1594322 (informational)",
+        "result: ok",
+    ]
+
+
+def _padded_mj_files(tmp_path, n_weak):
+    """A 4-grade mj election whose extra ballot (a: g1, b: g0) elects a over
+    b, with ``n_weak`` candidates graded worst by both voters: each grading
+    of theirs makes another counterexample, 4^n_weak in all."""
+    weak = [f"w{i + 1}" for i in range(n_weak)]
+    config = {
+        "method": "mj",
+        "scale": ["g0", "g1", "g2", "g3"],
+        "candidates": [{"id": cid} for cid in ("a", "b", *weak)],
+    }
+    grades = [{"a": "g0", "b": "g2"}, {"a": "g3", "b": "g2"}]
+    return _write_check(
+        tmp_path, config, [{**g, **dict.fromkeys(weak, "g3")} for g in grades]
+    )
+
+
+def test_cli_check_skips_only_a_section_past_the_output_cap(tmp_path, capsys):
+    files = _padded_mj_files(tmp_path, 9)
+    assert main(["check", *files, "--probe", "v2"]) == 3
+    skipped = "262144 addition counterexamples exceed the output cap of 250000"
+    assert capsys.readouterr().out.splitlines() == [
+        "method: mj  ballots: 2  candidates: 11",
+        f"no-show search: skipped ({skipped})",
+        "consistency: skipped (needs a 3-grade scale and 2+ ballots)",
+        "probe v2: 0 improving deviation(s) out of 4194303 (informational)",
+        "result: PROPERTY VIOLATIONS FOUND",
+    ]
+    assert main(["check", *files, "--probe", "v2", "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["no_show"] == {"n_counterexamples": 4**9, "skipped": skipped}
+    assert report["probe"]["n_alternatives"] == 4**11 - 1
+    # v1 grades a best, and 3^12 + 2^12 deviations elect a
+    files = _padded_mj_files(tmp_path, 12)
+    assert main(["check", *files, "--probe", "v1", "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["probe"] == {
+        "voter_id": "v1",
+        "n_improving": 3**12 + 2**12,
+        "skipped": "535537 improving deviations exceed the output cap of 250000",
+    }
+
+
 def test_cli_unreadable_inputs_end_in_an_error_line(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     assert main(["tally", "--method", "mj3", "--ballots", missing]) == 1

@@ -49,8 +49,10 @@ from gradevote.properties import (
     NoShowCounterexample,
     NoShowSweepReport,
     NoUniqueWinnerError,
+    OutputCapError,
     PartitionCheckReport,
     PartitionPremise,
+    _addition_counterexamples,
     _addition_rows,
     _bump,
     _check_masks,
@@ -61,7 +63,6 @@ from gradevote.properties import (
     _ranking,
     _top,
     _unique_tops,
-    _unique_winners,
 )
 from gradevote.results import Tallies, require_rankable
 
@@ -1049,21 +1050,56 @@ def test_single_candidate_is_trivially_clean():
 
 def _twelve_candidates():
     """A 12-candidate three-grade election with a unique winner: 3^12 =
-    531,441 grade vectors, above the searches' cap of 250,000."""
+    531,441 grade vectors, more than a search lists at most."""
     candidates = [Candidate(f"c{i + 1}") for i in range(12)]
     return _election([{"c1": "positive"}, {"c2": "neutral"}], candidates=candidates)
 
 
-def test_addition_search_respects_its_cap():
+def test_twelve_candidates_are_searched_exactly():
     election, ballots = _twelve_candidates()
-    with pytest.raises(VoteError, match="531441 .* exceed the addition-search cap"):
+    assert search_no_show(election, ballots) == []
+    probe = manipulation_probe(election, ballots, "v1")
+    assert (probe.honest_winner, probe.improving) == ("c1", [])
+    assert probe.n_alternatives == 3**12 - 1
+
+
+def _padded_mj(n_weak):
+    """A 4-grade ``mj`` election where the extra ballot (a: g1, b: g0) elects
+    a over b, with ``n_weak`` more candidates that both voters grade worst:
+    whatever that ballot grades them, it stays a counterexample."""
+    weak = [f"w{i + 1}" for i in range(n_weak)]
+    candidates = [Candidate(cid) for cid in ("a", "b", *weak)]
+    grades = [{"a": "g0", "b": "g2"}, {"a": "g3", "b": "g2"}]
+    return _election([{**g, **dict.fromkeys(weak, "g3")} for g in grades],
+                     candidates=candidates, scale=SCALE4)
+
+
+def test_addition_counterexamples_are_listed_up_to_the_output_cap():
+    election, ballots = _padded_mj(4)
+    found = search_no_show(election, ballots)
+    assert found == _reference_no_show(election, ballots, "mj")
+    assert len(found) == 4**4
+    assert {(ce.grades["a"], ce.grades["b"], ce.after.winner) for ce in found} == {
+        ("g1", "g0", "a")
+    }
+    election, ballots = _padded_mj(9)
+    with pytest.raises(OutputCapError, match=(
+        "262144 addition counterexamples exceed the output cap of 250000"
+    )) as raised:
         search_no_show(election, ballots)
+    assert raised.value.count == 4**9
 
 
-def test_probe_respects_the_same_cap():
-    election, ballots = _twelve_candidates()
-    with pytest.raises(VoteError, match="531441 .* exceed the probe cap"):
+def test_probe_lists_up_to_the_output_cap():
+    # v1 grades a best: a deviation improves when it elects a
+    election, ballots = _padded_mj(12)
+    with pytest.raises(OutputCapError, match=(
+        "535537 improving deviations exceed the output cap of 250000"
+    )) as raised:
         manipulation_probe(election, ballots, "v1")
+    assert raised.value.count == 3**12 + 2**12
+    probe = manipulation_probe(election, ballots, "v2")
+    assert (probe.improving, probe.n_alternatives) == ([], 4**14 - 1)
 
 
 def test_exhaustive_two_candidate_search_is_clean():
@@ -1347,6 +1383,23 @@ def _additions(
     return found
 
 
+def _unique_winners(
+    key_rows: Sequence[Sequence], approved_rows: Sequence[Sequence[bool]] | None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every grade vector (one entry of each row, in ``product`` order) whose
+    looked-up keys elect a unique winner, with that winner's position.
+    Vectors that leave a tie at the top or no tally approved are skipped.
+    The per-vector addition kernel, kept as the product-set kernel's oracle."""
+    cases = zip(product(*(range(len(row)) for row in key_rows)), product(*key_rows))
+    if approved_rows is not None:
+        cases = (case for case, approved in zip(cases, product(*approved_rows))
+                 if any(approved))
+    for vector, keys in cases:
+        top = min(keys)
+        if keys.count(top) == 1:
+            yield vector, keys.index(top)
+
+
 def _reference_no_show(election, ballots, method):
     """``search_no_show(election, ballots, method=method)`` as it ran before."""
     scale = election.scale
@@ -1506,3 +1559,114 @@ def test_no_show_and_probe_match_the_reference_on_the_school_fixture():
     for ballot in fx.ballots:
         probe = manipulation_probe(election, fx.ballots, ballot.voter_id)
         assert probe == _reference_probe(election, fx.ballots, ballot.voter_id, "mj")
+
+
+# ---------------------------------------------------------------------------
+# the product-set kernel against the per-vector kernel
+# ---------------------------------------------------------------------------
+
+def _per_vector_additions(method, election):
+    """The addition counterexamples of ``search_no_show``, as ``(grade
+    vector, winner)`` from every vector of the per-vector kernel."""
+    base = [p.counts for p in election.profiles]
+    n, n_grades = election.n_voters, election.scale.size
+    before = _top(*_key_table(method, base, n))
+    return [
+        (vector, w)
+        for vector, w in _unique_winners(*_addition_rows(method, base, n, n_grades))
+        if any(vector[x] < vector[w] for x in before)
+    ]
+
+
+def _per_vector_improving(method, election, ballots, voter_id):
+    """The improving deviations of ``manipulation_probe``, as ``(grade
+    vector, winner)`` from every vector of the per-vector kernel."""
+    scale = election.scale
+    ids = [c.id for c in election.candidates]
+    honest = next(b for b in ballots if b.voter_id == voter_id)
+    honest_vector = [honest.grade_index(cid, scale) for cid in ids]
+    full = [p.counts for p in election.profiles]
+    top = _top(*_key_table(method, full, election.n_voters))
+    if len(top) != 1:
+        return []
+    others = [_bump(c, g, -1) for c, g in zip(full, honest_vector)]
+    rows = _addition_rows(method, others, election.n_voters - 1, scale.size)
+    return [(vector, w) for vector, w in _unique_winners(*rows)
+            if honest_vector[w] < honest_vector[top[0]]]
+
+
+def _listed_count(search, *args, **kwargs):
+    """The exact count of items ``search`` lists, read from the output-cap
+    error it raises with the cap set below zero."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(properties, "_MAX_LISTED", -1)
+        try:
+            search(*args, **kwargs)
+        except OutputCapError as exc:
+            return exc.count
+    return 0  # the search listed nothing it had to count
+
+
+@st.composite
+def _small_elections(draw):
+    """A method, its scale (3 to 5 grades for ``mj``), 1 to 7 candidates
+    with at most 5,000 grade vectors, and 1 to 6 ballots."""
+    method = draw(st.sampled_from(["mj3", "mj", "approval3"]))
+    n_grades = draw(st.integers(3, 5)) if method == "mj" else 3
+    scale = {"mj3": SCALE3, "approval3": APPROVAL_SCALE}.get(
+        method, GradeScale(tuple(f"g{g}" for g in range(n_grades)))
+    )
+    k_max = max(k for k in range(1, 8) if n_grades**k <= 5000)
+    n_cands = draw(st.integers(1, k_max))
+    rng = draw(st.randoms(use_true_random=False))  # grades drawn evenly
+    vectors = [[rng.randrange(n_grades) for _ in range(n_cands)]
+               for _ in range(rng.randint(1, 6))]
+    candidates = [Candidate(f"c{i + 1}") for i in range(n_cands)]
+    election, ballots = _election(
+        [{c.id: scale.labels[g] for c, g in zip(candidates, v)} for v in vectors],
+        candidates=candidates, scale=scale,
+    )
+    return method, election, ballots
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_elections())
+def test_product_set_kernel_matches_the_per_vector_kernel(case):
+    method, election, ballots = case
+    ids = [c.id for c in election.candidates]
+    index = dict(zip(election.scale.labels, range(election.scale.size)))
+
+    def listed(grades, winner):
+        return tuple(index[grades[cid]] for cid in ids), ids.index(winner)
+
+    expected = _per_vector_additions(method, election)
+    found = search_no_show(election, method=method)
+    assert [listed(ce.grades, ce.after.winner) for ce in found] == expected
+    assert _listed_count(search_no_show, election, method=method) == len(expected)
+    voter = ballots[-1].voter_id
+    expected = _per_vector_improving(method, election, ballots, voter)
+    probe = manipulation_probe(election, ballots, voter, method=method)
+    assert [listed(d.grades, d.winner) for d in probe.improving] == expected
+    assert _listed_count(
+        manipulation_probe, election, ballots, voter, method=method
+    ) == len(expected)
+
+
+@pytest.mark.parametrize("method, n_grades", [
+    ("mj3", 3), ("mj", 3), ("approval3", 3), ("mj", 4),
+])
+def test_three_candidate_elections_keep_the_three_grade_claim(method, n_grades):
+    # every triple of tallies with 1 to 3 ballots, with every extra ballot
+    ids = ("a", "b", "c")
+    labels = tuple(f"g{g}" for g in range(n_grades))
+    found = 0
+    for n in range(1, 4):
+        tallies = list(_compositions(n, n_grades))
+        keys, approved = _key_table(method, tallies, n)
+        key_rows, approved_rows = _addition_rows(method, tallies, n, n_grades)
+        for triple in product(range(len(tallies)), repeat=len(ids)):
+            pick = itemgetter(*triple)
+            before = _top(pick(keys), approved and pick(approved))
+            rows = (pick(key_rows), approved_rows and pick(approved_rows))
+            found += len(_addition_counterexamples(ids, labels, rows, before))
+    assert (found == 0) is (n_grades == 3), found
