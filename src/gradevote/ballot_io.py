@@ -5,7 +5,9 @@ Wire formats:
 * Ballots, CSV (long format): header ``voter_id,candidate,grade``, one graded
   candidate per row, UTF-8 (input may start with a byte-order mark).  A
   voter's unmentioned candidates complete to the worst grade, so
-  approval-style ballots only list what the voter marked.
+  approval-style ballots only list what the voter marked.  LF, CRLF and CR
+  all end a record; the text keeps its line ends as they are, so a CR or LF
+  inside a quoted cell is part of the cell.
 * Ballots, JSON: list of ``{"voter_id": ..., "grades": {candidate: grade}}``.
 * Bracket ballots, JSON: list of ``{"voter_id": ..., "accept": bool,
   "choices": ["upper"|"lower", ...]}`` with one choice per internal node of
@@ -218,12 +220,15 @@ class ParseReport:
 
 
 def _read_text(source: "str | Path | io.TextIOBase") -> str:
-    """The whole text of a path or open stream, a leading UTF-8 BOM dropped."""
+    """The whole text of a path or open stream, a leading UTF-8 BOM dropped.
+    A path is read with its line ends as they are (``newline=""``), so a CR
+    or LF inside a quoted CSV cell stays itself."""
     try:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            text = Path(source).read_text(encoding="utf-8")
+            with open(source, encoding="utf-8", newline="") as file:
+                text = file.read()
         return text.removeprefix("\ufeff")
     except OSError as exc:
         reason = exc.strerror or str(exc)
@@ -402,7 +407,7 @@ def _read_csv(
     the next check; a row thus gets at most one issue.
     """
     try:
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise ValidationError(f"ballots are not valid CSV: {exc}") from None
     report = ParseReport()

@@ -119,7 +119,11 @@ def _resolve_config(args: argparse.Namespace) -> ElectionConfig:
 def _ballot_source(args: argparse.Namespace):
     if not args.ballots:
         raise ConfigError("pass --ballots (a CSV/JSON file, or '-' for stdin)")
-    return sys.stdin if args.ballots == "-" else args.ballots
+    if args.ballots != "-":
+        return args.ballots
+    if hasattr(sys.stdin, "reconfigure"):  # keep line ends, as from a path
+        sys.stdin.reconfigure(newline="")
+    return sys.stdin
 
 
 def _print_grade_report(report: ParseReport, candidates: tuple) -> None:
@@ -132,6 +136,8 @@ def _print_report(report: ParseReport) -> None:
     for issue in report.issues:
         where = f"row {issue.row}" if issue.row is not None else "input"
         voter = f" voter {issue.voter}" if issue.voter else ""
+        if not voter.isprintable():  # a line end in an id stays on this line
+            voter = f" voter {issue.voter!r}"
         dropped = "only this grade dropped" if issue.grade_only else "row rejected"
         _stderr(f"warning: {where}{voter}: {issue.reason} ({dropped})")
     for note in report.notes:

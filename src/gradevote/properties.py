@@ -37,10 +37,12 @@ more than 250,000 raises :class:`OutputCapError` with the exact count.  The
 exhaustive search builds the table once per tally and electorate size.
 Both consistency checks decide their partitions, given as bitmasks over the
 ballots, by popcounts, with no tally rebuilt per partition:
-:func:`_check_masks` decides a block of masks at a time.  Per-candidate sign tables first drop every mask where some
-candidate's score strictly switches sign, which can never meet the premise;
-key columns are built for the rest only, and a strongest-rival filter keeps
-the masks whose parts share a unique top.
+:func:`_check_masks` decides a block of masks at a time.  Per-candidate sign
+tables first drop every mask where some candidate's score strictly switches
+sign, which can never meet the premise; key columns are built for the rest
+only, a strongest-rival filter keeps the masks whose parts share a unique
+top, and the premise hits are counted per top over its key columns.  A
+report holds counts and violations only, no record per premise hit.
 :func:`search_cross_method_disagreements` compares whole orders and tie
 groups, taken from each method's sort key computed once per tally; the full
 rankers remain its test oracle.
@@ -52,7 +54,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, product, repeat
 from math import prod
-from operator import and_, itemgetter, lt, mul
+from operator import and_, eq, itemgetter, lt, mul
 
 from .approval import ApprovalTally, classify_block
 from .core import (
@@ -274,18 +276,6 @@ class NoUniqueWinnerError(VoteError):
 
 
 @dataclass(frozen=True)
-class PartitionPremise:
-    """A partition where both parts elect the same candidate, that winner's
-    scores keep the same sign, and no candidate's score strictly changes sign
-    between the parts (so all scores are additive across the split)."""
-
-    part_sizes: tuple[int, int]
-    winner: str
-    scores_part1: Mapping[str, int]
-    scores_part2: Mapping[str, int]
-
-
-@dataclass(frozen=True)
 class ConsistencyViolation:
     """A premise-satisfying partition whose combined election disagrees."""
 
@@ -298,12 +288,12 @@ class ConsistencyViolation:
 
 @dataclass
 class PartitionCheckReport:
-    """Outcome of one consistency check over a family of partitions."""
+    """Outcome of one consistency check over a family of partitions: how many
+    were checked and met the premise, and the violations in mask order."""
 
     n_ballots: int
-    n_partitions_checked: int
-    n_premise_satisfied: int
-    premises: list[PartitionPremise] = field(default_factory=list)
+    n_partitions_checked: int = 0
+    n_premise_satisfied: int = 0
     violations: list[ConsistencyViolation] = field(default_factory=list)
     sampled: bool = False
 
@@ -443,12 +433,13 @@ def _key_columns(
 
 def _unique_tops(
     keys1: Sequence[Sequence[int]], keys2: Sequence[Sequence[int]], strongest: list[int]
-) -> list[tuple[int, int]]:
-    """``(position, w)`` for every mask of a block whose two parts have the
-    same unique top ``w``, in block order.  For each ``w``, its rivals are
-    tested strongest first, each keeping only the masks where ``w``'s key is
-    strictly below the rival's in both parts."""
-    found = []
+) -> Iterator[tuple[int, Sequence[int], list[int], list[int]]]:
+    """``(w, at, w1, w2)`` for each candidate ``w``, strongest first, that is
+    the same unique top of both parts of some masks of a block: ``at`` are
+    those masks' positions in block order, ``w1`` and ``w2`` are ``w``'s key
+    columns at them.  ``w``'s rivals are tested strongest first, each keeping
+    only the masks where ``w``'s key is strictly below the rival's in both
+    parts."""
     size = len(keys1[0])
     for w in strongest:
         at, w1, w2 = range(size), keys1[w], keys2[w]
@@ -464,9 +455,7 @@ def _unique_tops(
                 break
             w1, w2 = list(compress(w1, keep)), list(compress(w2, keep))
         else:
-            found.extend(zip(at, repeat(w)))
-    found.sort()
-    return found
+            yield w, at, w1, w2
 
 
 def _check_masks(
@@ -485,9 +474,10 @@ def _check_masks(
     candidate breaks score additivity across the parts (positives cancelled
     inside one part reappear in the union), and with it the consistency
     guarantee, so :func:`_key_columns` drops those masks before it builds a
-    key column.  Of the masks it keeps, only those whose parts share a unique
-    top (:func:`_unique_tops`) reach the winner's sign test and the premise
-    records, in mask order.
+    key column.  Of the masks whose parts share a unique top ``w``
+    (:func:`_unique_tops`), the premise hits, where ``w``'s two keys are both
+    zero or both not, are counted over ``w``'s key columns.  A hit of a ``w``
+    that is not the combined winner is a violation, listed in mask order.
     """
     require_rankable(election)
     ids = [c.id for c in election.candidates]
@@ -502,52 +492,35 @@ def _check_masks(
     top = min(overall)
     if overall.count(top) != 1:
         raise NoUniqueWinnerError("combined election has no unique winner")
-    winner_overall = ids[overall.index(top)]
+    winner = overall.index(top)
     strongest = sorted(range(len(ids)), key=overall.__getitem__)
-    report = PartitionCheckReport(
-        n_ballots=n,
-        n_partitions_checked=0,
-        n_premise_satisfied=0,
-        sampled=sampled,
-    )
+    report = PartitionCheckReport(n_ballots=n, sampled=sampled)
     for size, kept, columns1, columns2 in _key_columns(masks, signs, totals, n):
         report.n_partitions_checked += size
         if not kept:
             continue
-        for at, w in _unique_tops(columns1, columns2, strongest):
-            mask = kept[at]
-            keys1 = [column[at] for column in columns1]
-            keys2 = [column[at] for column in columns2]
-            # _key_columns kept no strict sign switch, so the winner's scores
-            # keep their sign unless exactly one of them is zero
-            k1, k2 = keys1[w], keys2[w]
-            if (k1 == 0) != (k2 == 0):
-                continue
-            # |t| <= n, so each key gives back its score s exactly
-            scores1, scores2 = (
-                [-((k + n) // span) for k in ks] for ks in (keys1, keys2)
-            )
-            s1, s2 = scores1[w], scores2[w]
-            size1 = mask.bit_count()
-            report.n_premise_satisfied += 1
-            report.premises.append(
-                PartitionPremise(
+        found = []
+        for w, at, w1, w2 in _unique_tops(columns1, columns2, strongest):
+            # _key_columns kept no strict sign switch, so w's scores keep
+            # their sign unless exactly one of them is zero
+            hits = list(map(eq, map((0).__eq__, w1), map((0).__eq__, w2)))
+            report.n_premise_satisfied += hits.count(True)
+            if w != winner:
+                found += zip(compress(at, hits), compress(w1, hits),
+                             compress(w2, hits), repeat(w))
+        found.sort()  # each position has one top, so no tie reaches a key
+        for at, k1, k2, w in found:
+            size1 = kept[at].bit_count()
+            report.violations.append(
+                ConsistencyViolation(
                     part_sizes=(size1, n - size1),
-                    winner=ids[w],
-                    scores_part1=dict(zip(ids, scores1)),
-                    scores_part2=dict(zip(ids, scores2)),
+                    winner_parts=ids[w],
+                    winner_overall=ids[winner],
+                    # |t| <= n, so each key gives back its score s exactly
+                    s_part1=-((k1 + n) // span),
+                    s_part2=-((k2 + n) // span),
                 )
             )
-            if ids[w] != winner_overall:
-                report.violations.append(
-                    ConsistencyViolation(
-                        part_sizes=(size1, n - size1),
-                        winner_parts=ids[w],
-                        winner_overall=winner_overall,
-                        s_part1=s1,
-                        s_part2=s2,
-                    )
-                )
     return report
 
 
@@ -634,12 +607,12 @@ def random_consistency_sweep(
     2 to ``max_voters`` ballots and 2 or 3 candidates.
 
     Instances without a unique combined winner are redrawn.  Returns one
-    aggregated report (premise details are dropped to keep it light).
+    report with the counts and violations of all instances added up.
     """
     if max_voters < 2:
         raise ConfigError(f"max_voters must be at least 2, got {max_voters}")
     rng = random.Random(seed)
-    total = PartitionCheckReport(n_ballots=0, n_partitions_checked=0, n_premise_satisfied=0)
+    total = PartitionCheckReport(n_ballots=0)
     done = 0
     while done < n_instances:
         n_voters = rng.randint(2, max_voters)

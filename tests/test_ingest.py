@@ -45,7 +45,7 @@ from gradevote.fixtures import FIXTURES
 
 def _csv_rows(text: str) -> list[list[str]]:
     try:
-        return list(csv.reader(io.StringIO(text)))
+        return list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise ValidationError(f"ballots are not valid CSV: {exc}") from None
 

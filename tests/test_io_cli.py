@@ -837,6 +837,40 @@ def test_cli_tally_accepts_a_utf8_bom(tmp_path, monkeypatch, capsys):
         assert [e["candidate"] for e in document["entries"]] == ["a", "b"]
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_cli_tally_reads_every_line_end_alike(end, tmp_path, monkeypatch, capsys):
+    config, ballots = _write_fixture(tmp_path, "school3")
+    capsys.readouterr()
+    tally = ["tally", "--config", config, "--format", "json", "--ballots"]
+    assert main(tally + [ballots]) == 0
+    expected = capsys.readouterr().out
+    data = (tmp_path / "school3.ballots.csv").read_bytes().replace(b"\n", end.encode())
+    path = tmp_path / "ends.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+    for source in (str(path), "-"):
+        assert main(tally + [source]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_cli_tally_keeps_line_ends_inside_quoted_ids(tmp_path, monkeypatch, capsys):
+    # "v\r1" and "v\n1" are two voters, from a path and from stdin
+    data = b'voter_id,candidate,grade\r\n"v\r1",a,positive\r\n"v\n1",a,negative\r\n'
+    path = tmp_path / "ids.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+    for source in (str(path), "-"):
+        assert main(["tally", "--method", "mj3", "--ballots", source]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("2 ballots\n") and err == ""
+    # a warning names such an id by its repr, on one line
+    path.write_bytes(data + b'"v\n1",a,neutral\n')
+    assert main(["tally", "--method", "mj3", "--ballots", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "warning: row 4 voter 'v\\n1': duplicate grade for candidate 'a' (row rejected)\n"
+    )
+
+
 def test_cli_check_reports_distinct_sampled_coverage(tmp_path, capsys):
     ballots = _nine_ballot_mj3(tmp_path)
     base = ["check", "--method", "mj3", "--ballots", ballots, "--seed", "1"]

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, product
 from operator import itemgetter, sub
@@ -51,7 +52,6 @@ from gradevote.properties import (
     NoUniqueWinnerError,
     OutputCapError,
     PartitionCheckReport,
-    PartitionPremise,
     _addition_counterexamples,
     _addition_rows,
     _bump,
@@ -68,6 +68,19 @@ from gradevote.results import Tallies, require_rankable
 
 SCALE3 = GradeScale(MJ3_SCALE_LABELS)
 AB = [Candidate("a"), Candidate("b")]
+
+
+@dataclass(frozen=True)
+class PartitionPremise:
+    """A partition where both parts elect the same candidate, that winner's
+    scores keep the same sign, and no candidate's score strictly changes sign
+    between the parts: the record the recount references keep of each
+    premise hit.  The kernel only counts them."""
+
+    part_sizes: tuple[int, int]
+    winner: str
+    scores_part1: Mapping[str, int]
+    scores_part2: Mapping[str, int]
 
 
 def _election(ballot_grades, candidates=None, scale=SCALE3):
@@ -158,11 +171,8 @@ def test_two_identical_ballots_have_one_partition():
     assert report.ok
     assert report.n_partitions_checked == 1
     assert report.n_premise_satisfied == 1
-    premise = report.premises[0]
-    assert premise.part_sizes == (1, 1)
-    assert premise.winner == "a"
-    assert premise.scores_part1 == {"a": 1, "b": 0}
-    assert premise.scores_part2 == {"a": 1, "b": 0}
+    premises, _ = _reference_premises(election, _labeled_parts(ballots, [1]))
+    assert premises == [PartitionPremise((1, 1), "a", {"a": 1, "b": 0}, {"a": 1, "b": 0})]
 
 
 def test_school_three_grade_is_consistent_across_all_splits():
@@ -174,8 +184,11 @@ def test_school_three_grade_is_consistent_across_all_splits():
     # 3 ballot kinds with multiplicities 10/10/1: 11*11*2 vectors, minus the
     # two empty-part ones, halved because splits are unordered
     assert report.n_partitions_checked == 120
-    assert report.n_premise_satisfied == len(report.premises) > 0
-    for premise in report.premises:
+    premises, violations = _reference_premises(
+        election, _split_parts(election, fx.ballots))
+    assert report.n_premise_satisfied == len(premises) > 0
+    assert report.violations == violations == []
+    for premise in premises:
         assert premise.winner == "high-ropes"
         assert sum(premise.part_sizes) == 21
         assert premise.scores_part1["high-ropes"] > 0
@@ -218,7 +231,10 @@ def test_premise_requires_every_score_to_keep_its_sign():
     assert report.ok
     # the 6|2 split is rejected as a premise, and every accepted premise
     # names the union winner
-    assert all(p.winner == "b" for p in report.premises)
+    premises, _ = _reference_premises(
+        election, _labeled_parts(ballots, range(1, 2 ** 7)))
+    assert report.n_premise_satisfied == len(premises)
+    assert all(p.winner == "b" for p in premises)
 
 
 def test_labeled_check_refuses_large_electorates():
@@ -256,8 +272,16 @@ def test_sampled_check_builds_no_table_of_every_part_index(monkeypatch):
     assert max(sizes) == 1024  # one block of masks
 
 
-def test_sampled_partitions_are_distinct():
+def test_sampled_partitions_are_distinct(monkeypatch):
     # 9 ballots have 2^8 - 1 = 255 partitions: 254 distinct draws miss one
+    seen = []
+
+    def spy(election, vectors, masks, sampled):
+        seen.append(list(masks))
+        return check_masks(election, vectors, seen[-1], sampled=sampled)
+
+    check_masks = properties._check_masks
+    monkeypatch.setattr(properties, "_check_masks", spy)
     grades = MJ3_SCALE_LABELS
     election, ballots = _election(
         [
@@ -268,17 +292,19 @@ def test_sampled_partitions_are_distinct():
     )
     exhaustive = check_consistency(election, ballots, limit=9)
     assert exhaustive.n_partitions_checked == 255
-    every_premise = sorted(repr(p) for p in exhaustive.premises)
+    assert seen.pop() == list(range(1, 256))
     for seed in range(3):
         report = check_consistency(election, ballots, samples=254, seed=seed)
         assert report.sampled and report.n_partitions_checked == 254
-        premises = sorted(repr(p) for p in report.premises)
-        assert len(premises) >= len(every_premise) - 1
-        for premise in set(premises):
-            assert premises.count(premise) <= every_premise.count(premise)
+        masks = seen.pop()
+        assert len(masks) == len(set(masks)) == 254
+        (missing,) = set(range(1, 256)) - set(masks)
+        premises, _ = _reference_premises(election, _labeled_parts(ballots, [missing]))
+        assert report.n_premise_satisfied + len(premises) == exhaustive.n_premise_satisfied
     report = check_consistency(election, ballots, samples=255, seed=0)
     assert not report.sampled
-    assert sorted(repr(p) for p in report.premises) == every_premise
+    assert seen.pop() == list(range(1, 256))
+    assert report == exhaustive
 
 
 def _labeled_parts(ballots, masks):
@@ -348,7 +374,6 @@ def test_partition_walk_matches_a_recount_of_every_part():
         assert report.sampled is sampled
         assert report.n_partitions_checked == len(masks)
         assert report.n_premise_satisfied == len(premises)
-        assert report.premises == premises
         assert report.violations == violations
         checked[sampled] += 1
 
@@ -392,7 +417,7 @@ def test_split_check_matches_a_recount_of_every_part():
         parts = list(_split_parts(election, ballots))
         premises, violations = _reference_premises(election, parts)
         assert report.n_partitions_checked == len(parts)
-        assert report.premises == premises
+        assert report.n_premise_satisfied == len(premises)
         assert report.violations == violations
         hits += len(premises)
     assert hits > 100
@@ -412,7 +437,7 @@ def _check_partitions(
     partitions,
     *,
     sampled: bool,
-) -> PartitionCheckReport:
+) -> tuple[PartitionCheckReport, list[PartitionPremise]]:
     """Evaluate the consistency premise over (part1 counts, part1 size) pairs."""
     ids = [c.id for c in election.candidates]
     n = election.n_voters
@@ -426,6 +451,7 @@ def _check_partitions(
         n_premise_satisfied=0,
         sampled=sampled,
     )
+    premises = []
     for part1, size1 in partitions:
         report.n_partitions_checked += 1
         first = outcome_from_counts("mj3", ids, part1, size1)
@@ -445,7 +471,7 @@ def _check_partitions(
         if any(a * b < 0 for a, b in zip(scores1, scores2)):
             continue
         report.n_premise_satisfied += 1
-        report.premises.append(
+        premises.append(
             PartitionPremise(
                 part_sizes=(size1, n - size1),
                 winner=first.winner,
@@ -463,7 +489,7 @@ def _check_partitions(
                     s_part2=s2,
                 )
             )
-    return report
+    return report, premises
 
 
 def _walk(
@@ -513,7 +539,7 @@ def _consistency_reference(election, vectors, masks=None, *, sampled=False):
     else:
         partitions = _walk(vectors, masks, election.scale.size)
     try:
-        return _check_partitions(election, partitions, sampled=sampled)
+        return _check_partitions(election, partitions, sampled=sampled)[0]
     except NoUniqueWinnerError:
         return "no unique winner"
 
@@ -554,7 +580,7 @@ def test_consistency_kernel_matches_the_reference_on_every_multiset(
                 list(vectors), candidates, masks, limit=n
             )
             seen["tied top" if labeled == "no unique winner" else "premise"
-                 if labeled.premises else "no premise"] += 1
+                 if labeled.n_premise_satisfied else "no premise"] += 1
     # one candidate always has a unique top
     assert len(seen) == (2 if n_cands == 1 else 3)
 
@@ -591,7 +617,7 @@ def _reference_check_masks(
     masks: Iterable[int],
     *,
     sampled: bool,
-) -> PartitionCheckReport:
+) -> tuple[PartitionCheckReport, list[PartitionPremise]]:
     """Evaluate the consistency premise over 2-partitions given as bitmasks.
 
     Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
@@ -629,6 +655,7 @@ def _reference_check_masks(
         n_premise_satisfied=0,
         sampled=sampled,
     )
+    premises = []
     for mask in masks:
         report.n_partitions_checked += 1
         keys1 = keys(mask)
@@ -652,7 +679,7 @@ def _reference_check_masks(
             continue
         size1 = mask.bit_count()
         report.n_premise_satisfied += 1
-        report.premises.append(
+        premises.append(
             PartitionPremise(
                 part_sizes=(size1, n - size1),
                 winner=ids[w],
@@ -670,7 +697,7 @@ def _reference_check_masks(
                     s_part2=s2,
                 )
             )
-    return report
+    return report, premises
 
 
 def _leaning_election(rng, n, n_cands, lean):
@@ -696,7 +723,7 @@ def _leaning_election(rng, n, n_cands, lean):
 def _reference_report(election, vectors, masks, sampled=False):
     """The reference's report, or None when it refuses a tied combined top."""
     try:
-        return _reference_check_masks(election, vectors, masks, sampled=sampled)
+        return _reference_check_masks(election, vectors, masks, sampled=sampled)[0]
     except NoUniqueWinnerError:
         return None
 
@@ -820,7 +847,7 @@ def test_block_kernel_on_one_candidate_and_on_a_tied_top():
     election, ballots, vectors = _leaning_election(rng, 14, 1, lean=False)
     expected = _reference_report(election, vectors, range(1, 2 ** 13))
     assert check_consistency(election, ballots, limit=14) == expected
-    assert expected.premises
+    assert expected.n_premise_satisfied
     # c1 and c2 graded alike on every ballot: their keys tie in every part
     vectors = [(g, g, (g + 1) % 3) for g in (0, 0, 1, 2, 0, 1, 0, 2, 0, 0, 1, 0, 2)]
     candidates = [Candidate(cid) for cid in ("c1", "c2", "c3")]
@@ -874,16 +901,20 @@ def test_rival_filter_keeps_exactly_the_shared_unique_tops():
             keys1 = [list(column) for column in zip(*map(keys, block))]
             keys2 = [list(column) for column in
                      zip(*(keys(everyone ^ mask) for mask in block))]
-            found = _unique_tops(keys1, keys2, strongest)
-            expected = []
+            found = [(w, list(at), w1, w2)
+                     for w, at, w1, w2 in _unique_tops(keys1, keys2, strongest)]
+            tops = {w: [] for w in strongest}
             for i, (part1, part2) in enumerate(zip(zip(*keys1), zip(*keys2))):
                 top1, top2 = min(part1), min(part2)
                 w = part1.index(top1)
                 if part1.count(top1) == part2.count(top2) == 1 and part2[w] == top2:
-                    expected.append((i, w))
+                    tops[w].append(i)
+            # strongest first, each top with its positions and key columns
+            expected = [(w, at, [keys1[w][i] for i in at], [keys2[w][i] for i in at])
+                        for w, at in tops.items() if at]
             assert found == expected
             blocks += 1
-            shared += len({w for _, w in found}) > 1
+            shared += len(found) > 1
     assert shared >= 4 and blocks >= 24
 
 
@@ -924,7 +955,7 @@ def test_block_kernel_on_blocks_with_no_and_with_one_sign_survivor():
             (before, mask, after)
             for before, mask, after in zip(survivors, survivors[1:], survivors[2:])
             if mask - before > 1 and after - mask > 1 and _reference_check_masks(
-                election, vectors, [mask], sampled=False).premises
+                election, vectors, [mask], sampled=False)[1]
         ), None)
         if found:
             break
@@ -942,7 +973,7 @@ def test_block_kernel_on_blocks_with_no_and_with_one_sign_survivor():
     for name, masks in cases.items():
         for masks in (masks, list(masks)):  # a range, and the per-block path
             got = _check_masks(election, vectors, masks, sampled=False)
-            assert got == _reference_check_masks(election, vectors, masks, sampled=False)
+            assert got == _reference_check_masks(election, vectors, masks, sampled=False)[0]
             assert got.n_partitions_checked == len(masks)
             assert got.n_premise_satisfied == (name != "none"), name
     assert len(cases["none"]) and len(cases["one"]) > 2
