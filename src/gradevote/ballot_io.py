@@ -22,9 +22,10 @@ Wire formats:
 
 Row-level problems (unknown grade, unknown candidate, duplicate marks) reject
 the row and are reported; they never silently drop a voter's other valid
-rows.  File-level problems (unreadable input, text the csv module refuses,
-such as a field over its size limit, malformed header) raise
-:class:`ValidationError`.
+rows.  File-level problems (unreadable input, malformed header, text the csv
+or json module refuses, such as a CSV field over its size limit, or JSON
+nested past the recursion limit or holding an integer over the digit limit)
+raise :class:`ValidationError`, or :class:`ConfigError` in a config.
 
 A CSV file is read in one pass into voter, candidate and grade columns;
 each row check runs over a whole column, and only a check that fails walks
@@ -34,13 +35,13 @@ counts them straight into the per-grade counts a tally needs, with no
 ballot objects.
 
 :func:`count_ballots` first tries to prove a CSV file clean without the CSV
-reader: no ``"``, carriage return or NUL, no whitespace but the ``\n`` line
-ends (so no padded cell), the exact header, and every row kept (blank lines
-are skipped, as the CSV reader skips them).  Such a file is counted from its
-lines.  Any other file (quoted, padded or with a row to reject) is read by
-the CSV reader as before, which stays the only code that names rejected
-rows.  The proof stops at its first failing check, so a file with a rejected
-row pays for the passes up to that check on top of the CSV reader.
+reader: no ``"`` or NUL, no whitespace but line ends (so no padded cell), the
+exact header, and every row kept (blank lines are skipped, as the CSV reader
+skips them).  Such a file is counted from its lines, whether they end in LF,
+CRLF or CR.  Any other file (quoted, padded or with a row to reject) is read
+by the CSV reader, which stays the only code that names rejected rows.  The
+proof stops at its first failing check, so a file with a rejected row pays
+for the passes up to that check on top of the CSV reader.
 
 :func:`count_bracket_ballots` counts a bracket document the same way: one
 whose columns prove every entry valid is counted from them, and any other is
@@ -69,6 +70,7 @@ from .core import (
     GradeProfile,
     GradeScale,
     ValidationError,
+    VoteError,
     build_profiles,
 )
 from .methods import RANKERS, method_scale
@@ -112,10 +114,7 @@ class ElectionConfig:
 
 def load_config(source: "str | Path | io.TextIOBase") -> ElectionConfig:
     """Load an :class:`ElectionConfig` from a JSON document."""
-    try:
-        document = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    document = _load_json(_read_text(source), ConfigError, "config is not valid JSON")
     if not isinstance(document, dict):
         raise ConfigError("config must be a JSON object")
     known = {"method", "scale", "candidates", "options"}
@@ -237,6 +236,16 @@ def _read_text(source: "str | Path | io.TextIOBase") -> str:
     raise ValidationError(f"cannot read {source}: {reason}")
 
 
+def _load_json(text: str, error: type[VoteError], what: str):
+    """The document of a JSON text, or ``error`` with ``what`` and the reason.
+    ``ValueError`` covers a syntax error and an integer over the digit limit
+    of ``int``; ``RecursionError``, nesting too deep to decode."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from None
+
+
 def _is_json(source: "str | Path | io.TextIOBase", text: str) -> bool:
     """JSON by a ``.json`` path suffix, else by a leading ``[`` or ``{``."""
     if isinstance(source, (str, Path)) and str(source).endswith(".json"):
@@ -276,17 +285,18 @@ def count_ballots(
 
     Returns what ``build_profiles`` makes of :func:`parse_ballots`' result,
     with the same report and roster.  A CSV file never becomes
-    :class:`Ballot` objects: a clean one is counted from its lines
-    (:func:`_count_lines`), any other from the columns of :func:`_read_csv`.
+    :class:`Ballot` objects: a clean one (no ``"`` or NUL, no whitespace
+    but line ends) is counted from its lines, whether they end in LF, CRLF or
+    CR (:func:`_count_lines`), any other from the columns of
+    :func:`_read_csv`.  JSON nested too deep or holding an over-long integer
+    raises :class:`ValidationError`.
     """
     text = _read_text(source)
     if _is_json(source, text):
         ballots, report, roster = _parse_ballots_json(text, scale, candidates)
         return build_profiles(scale, roster, ballots), report, roster
     with _gc_paused():
-        lines = _plain_lines(text)
-        counted = None if lines is None else _count_lines(lines, scale, candidates)
-        del lines  # not alive next to the csv reader's rows
+        counted = _count_lines(text, scale, candidates)
         if counted is None:
             columns, tally, report, roster = _read_csv(text, scale, candidates)
             # free the columns (one reference per row) before the collector
@@ -316,43 +326,34 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-#: the ASCII characters ``str.strip`` removes, less the line end ``\n``
-_ASCII_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+#: the ASCII characters ``str.strip`` removes, less the line ends ``\n`` and ``\r``
+_ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The lines of a plain text, or None for any other.
+def _count_lines(
+    text: str, scale: GradeScale, candidates: Sequence[Candidate]
+) -> "tuple[Counter, ParseReport, tuple[Candidate, ...]] | None":
+    """The ``(candidate, grade)`` tally, report and roster of a clean text, of
+    which :func:`_read_csv` keeps every row, or None for any other.
 
-    A plain text has no ``"``, CR, NUL or whitespace but its ``\n`` line
-    ends, so ``csv`` would split it at commas and line ends alone and
-    ``str.strip`` would leave its cells as they are.  Its lines are the
-    records the csv reader finds in it.
+    A clean text has no ``"``, NUL or whitespace but CR and LF, so ``csv``
+    splits it at commas and line ends alone and ``str.strip`` leaves its
+    cells as they are.  Every other line break of ``str.splitlines`` is such
+    whitespace, so its lines end at LF, CRLF and CR, where the csv reader's
+    records end.  Blank lines are skipped, as ``_read_csv`` skips them.  Each
+    of its row checks is a C-level pass over the lines or runs once per
+    distinct ``"candidate,grade"`` tail (from ``str.partition``); a repeated
+    ``(voter, candidate)`` pair is a repeated ``"voter,candidate"`` head (from
+    ``str.rpartition``).  The first check that fails ends the proof.
     """
     if '"' in text or "\0" in text:
         return None
     if text.isascii():
         if any(map(text.__contains__, _ASCII_SPACE)):
             return None
-    elif any(ch.isspace() for ch in set(text) if ch != "\n"):
+    elif any(ch.isspace() for ch in set(text) if ch not in "\r\n"):
         return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the final line end
-    return lines
-
-
-def _count_lines(
-    lines: list[str], scale: GradeScale, candidates: Sequence[Candidate]
-) -> "tuple[Counter, ParseReport, tuple[Candidate, ...]] | None":
-    """The ``(candidate, grade)`` tally, report and roster of plain lines
-    (:func:`_plain_lines`) of which :func:`_read_csv` keeps every row, or None.
-
-    Blank lines are skipped, as ``_read_csv`` skips them.  Each of its row
-    checks is a C-level pass over the lines or runs once per distinct
-    ``"candidate,grade"`` tail (from ``str.partition``); a repeated
-    ``(voter, candidate)`` pair is a repeated ``"voter,candidate"`` head
-    (from ``str.rpartition``).  The first check that fails ends the proof.
-    """
+    lines = text.splitlines()
     if not lines or lines[0] != ",".join(BALLOT_CSV_HEADER):
         return None
     rows = list(filter(None, islice(lines, 1, None)))
@@ -492,10 +493,7 @@ def _parse_ballots_json(
     text: str, scale: GradeScale, candidates: Sequence[Candidate]
 ) -> tuple[list[Ballot], ParseReport, tuple[Candidate, ...]]:
     report = ParseReport()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"ballots are not valid JSON: {exc}") from None
+    document = _load_json(text, ValidationError, "ballots are not valid JSON")
     if not isinstance(document, list):
         raise ValidationError("JSON ballots must be a list of objects")
     registered = {c.id: c for c in candidates}
@@ -611,10 +609,9 @@ def count_bracket_ballots(
 
 
 def _bracket_document(source: "str | Path | io.TextIOBase") -> list:
-    try:
-        document = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bracket ballots are not valid JSON: {exc}") from None
+    document = _load_json(
+        _read_text(source), ValidationError, "bracket ballots are not valid JSON"
+    )
     if not isinstance(document, list):
         raise ValidationError("bracket ballots must be a JSON list of objects")
     return document

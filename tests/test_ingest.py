@@ -300,7 +300,7 @@ DIRTY_LINES = {
     "unknown candidate": ("{v},zz,{g}",),
     "unknown grade": ("{v},{c},bogus",),
     "quote": ('"{v}",{c},{g}', '{v},{c},{g}"', '{v},"{c}",{g}'),
-    "carriage return": ("{v},{c},{g}\r", "{v}\r,{c},{g}"),
+    "carriage return": ("{v}\r,{c},{g}",),  # a line end that splits a row
     "nul": ("{v}\x00,{c},{g}",),
     "unicode space": ("{v}\u00a0,{c},{g}", "{v},{c},{g}\u2028", "\x85{v},{c},{g}",
                       "{v},{c}\u3000,{g}", "{v}\x1c,{c},{g}"),
@@ -311,9 +311,10 @@ DIRTY_HEADERS = (" voter_id,candidate,grade", "voter_id,candidate,grade ",
 
 @st.composite
 def quote_free_files(draw):
-    """``(text, scale, candidates, dirt)``: a quote-free file with ``\n`` line
-    ends, clean when ``dirt`` is empty, else with each kind of dirt named.  A
-    clean file may hold blank lines, which the CSV reader skips."""
+    """``(text, scale, candidates, dirt)``: a quote-free file with LF, CRLF or
+    CR line ends, clean when ``dirt`` is empty, else with each kind of dirt
+    named.  A clean file may hold blank lines, which the CSV reader skips, and
+    lines ended by a CR of their own."""
     scale = GradeScale(LABELS[:draw(st.integers(2, 5))])
     ids = draw(st.lists(st.sampled_from(PLAIN_CANDIDATES), min_size=1, max_size=3,
                         unique=True))
@@ -323,6 +324,8 @@ def quote_free_files(draw):
     lines = [f"{v},{c},{draw(st.sampled_from(scale.labels))}" for v, c in pairs]
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), "")
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)):
+        lines[i] += "\r"  # a CRLF end, or a CR end and a blank line
     dirt = draw(st.lists(st.sampled_from([*DIRTY_LINES, "repeat", "header"]),
                          max_size=2, unique=True))
     header = ",".join(BALLOT_CSV_HEADER)
@@ -338,8 +341,9 @@ def quote_free_files(draw):
                 v=voter, c=cid, g=scale.labels[0])
         lines.insert(draw(st.integers(0, len(lines))), line)
     bom = draw(st.sampled_from(["", "\ufeff"]))
-    end = draw(st.sampled_from(["\n", "", "\n\n"]))
-    return bom + "\n".join([header, *lines]) + end, scale, candidates, dirt
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = draw(st.sampled_from([newline, "", newline * 2]))
+    return bom + newline.join([header, *lines]) + end, scale, candidates, dirt
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -353,7 +357,9 @@ def test_quote_free_files_match_the_row_by_row_reader(case):
             assert count_ballots(io.StringIO(text), scale, candidates) == expected
 
 
-@pytest.mark.parametrize("line", [line for kind in DIRTY_LINES.values() for line in kind])
+# a row ended by a CR of its own is no dirt: it ends in CRLF here
+@pytest.mark.parametrize("line", [*(line for kind in DIRTY_LINES.values() for line in kind),
+                                  "{v},{c},{g}\r"])
 @pytest.mark.parametrize("registered", [False, True])
 def test_each_dirty_line_alone_matches_the_row_by_row_reader(line, registered):
     candidates = (Candidate("a"), Candidate("b")) if registered else ()
@@ -418,7 +424,7 @@ def test_fixed_quote_free_cases_match_the_row_by_row_reader(name, candidates):
 
 def test_the_ascii_space_list_is_what_strip_removes():
     spaces = {ch for ch in map(chr, range(128)) if ch.isspace()}
-    assert set(ballot_io._ASCII_SPACE) == spaces - {"\n"}
+    assert set(ballot_io._ASCII_SPACE) == spaces - {"\n", "\r"}
 
 
 def test_a_grade_label_with_a_comma_is_never_counted_from_lines():
@@ -475,14 +481,18 @@ def test_blank_lines_are_skipped_on_the_counted_path():
 def test_a_clean_file_never_calls_the_csv_reader(name, tmp_path, monkeypatch, capsys):
     assert main(["demo", name, "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
+    ballots = tmp_path / f"{name}.ballots.csv"
     argv = ["tally", "--config", str(tmp_path / f"{name}.config.json"),
-            "--ballots", str(tmp_path / f"{name}.ballots.csv")]
+            "--ballots", str(ballots)]
     with monkeypatch.context() as patch:
         patch.setattr(cli, "count_ballots", reference_count)
         expected = _tally(argv, capsys)
     assert expected[0] == 0
-    with _csv_reader_refused():
-        assert _tally(argv, capsys) == expected
+    data = ballots.read_bytes()
+    for end in (b"\n", b"\r\n", b"\r"):  # its CRLF and CR copies too
+        ballots.write_bytes(data.replace(b"\n", end))
+        with _csv_reader_refused():
+            assert _tally(argv, capsys) == expected, end
 
 
 def test_a_file_with_a_rejected_row_is_read_in_one_csv_pass(monkeypatch):

@@ -944,11 +944,12 @@ def test_cli_check_json_of_other_methods_has_no_rejected_key(tmp_path, capsys):
         assert "rejected" not in report and "borderline" not in report
 
 
-def _tally(tmp_path, capsys, config, ballots, name="ballots.json"):
-    """Exit code, stdout and stderr of ``tally`` on a config and a ballot text."""
+def _tally(tmp_path, capsys, config, ballots, name="ballots.json", verb="tally"):
+    """Exit code, stdout and stderr of ``tally`` (or ``verb``) on a config and
+    a ballot text."""
     (tmp_path / "config.json").write_text(config)
     (tmp_path / name).write_text(ballots)
-    rc = main(["tally", "--config", str(tmp_path / "config.json"),
+    rc = main([verb, "--config", str(tmp_path / "config.json"),
                "--ballots", str(tmp_path / name)])
     return (rc, *capsys.readouterr())
 
@@ -1024,3 +1025,38 @@ def test_cli_tally_renders_a_rejected_bracket_ballot(tmp_path, capsys):
         "1     a b             1      1  upper (tie)\n",
         "",
     )
+
+
+#: JSON values that json.loads refuses although their syntax holds: nesting
+#: past the recursion limit, and an integer over the digit limit of int
+UNLOADABLE = {"nested": "[" * 200_000, "long integer": "9" * 5_000}
+#: per reader: a config and a ballot file that hold the value, and the error
+JSON_READERS = {
+    "config": ('{"method": "mj3", "options": {"limit": %s}}',
+               "voter_id,candidate,grade\nv1,a,positive\n", "ballots.csv",
+               2, "config is not valid JSON"),
+    "grade ballots": (MJ3_A, '[{"voter_id": "v1", "grades": {"a": %s}}]', "ballots.json",
+                      1, "ballots are not valid JSON"),
+    "bracket ballots": (BRACKET_AB, '[{"voter_id": "v1", "accept": %s}]', "ballots.json",
+                        1, "bracket ballots are not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("value", list(UNLOADABLE))
+@pytest.mark.parametrize("reader, verb", [
+    ("config", "tally"), ("config", "check"),
+    ("grade ballots", "tally"), ("grade ballots", "check"),
+    ("bracket ballots", "tally"),  # check refuses a bracket config first
+])
+def test_cli_unloadable_json_ends_in_an_error_line(
+    reader, verb, value, tmp_path, capsys
+):
+    config, ballots, name, rc, message = JSON_READERS[reader]
+    if reader == "config":
+        config %= UNLOADABLE[value]
+    else:
+        ballots %= UNLOADABLE[value]
+    got, out, err = _tally(tmp_path, capsys, config, ballots, name, verb)
+    assert (got, out) == (rc, "")
+    assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -617,12 +617,18 @@ def _reference_check_masks(
     masks: Iterable[int],
     *,
     sampled: bool,
+    signless: bool = False,
 ) -> tuple[PartitionCheckReport, list[PartitionPremise]]:
     """Evaluate the consistency premise over 2-partitions given as bitmasks.
 
     Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
     part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
     candidate's positive and negative ballot bitmasks.
+
+    ``signless`` (for tests only) weakens the premise as the kernel is
+    weakened with ``properties.mul`` patched to give 0: no candidate's sign
+    switch is tested, and the winner's scores need only be both zero or both
+    not.
     """
     require_rankable(election)
     ids = [c.id for c in election.candidates]
@@ -670,13 +676,17 @@ def _reference_check_masks(
         # |t| <= n, so each key gives back its score s exactly
         scores1, scores2 = ([-((k + n) // span) for k in ks] for ks in (keys1, keys2))
         s1, s2 = scores1[w], scores2[w]
-        if not (s1 * s2 > 0 or (s1 == 0 and s2 == 0)):
-            continue
-        # A strict sign switch for *any* candidate breaks score additivity
-        # across the parts (positives cancelled inside one part reappear in
-        # the union), and with it the consistency guarantee.
-        if any(a * b < 0 for a, b in zip(scores1, scores2)):
-            continue
+        if signless:
+            if (s1 == 0) != (s2 == 0):
+                continue
+        else:
+            if not (s1 * s2 > 0 or (s1 == 0 and s2 == 0)):
+                continue
+            # A strict sign switch for *any* candidate breaks score additivity
+            # across the parts (positives cancelled inside one part reappear in
+            # the union), and with it the consistency guarantee.
+            if any(a * b < 0 for a, b in zip(scores1, scores2)):
+                continue
         size1 = mask.bit_count()
         report.n_premise_satisfied += 1
         premises.append(
@@ -807,6 +817,39 @@ def _reference_splits(multiplicities: Sequence[int]) -> Iterator[int]:
         if sum(taken) == 0 or sum(complement) == 0 or taken > complement:
             continue
         yield sum(((1 << t) - 1) << at for t, at in zip(taken, offsets))
+
+
+def test_kernel_violations_match_the_reference_without_the_sign_filter(monkeypatch):
+    # weak consistency holds for three grades, so only a weakened premise
+    # finds violations: with mul giving 0, both the sign tables and the
+    # per-block filter keep every mask, as the signless reference does
+    monkeypatch.setattr(properties, "mul", lambda a, b: 0)
+    rng = random.Random(6174)
+    violations = Counter()
+    for _ in range(150):
+        n, n_cands = rng.randint(2, 12), rng.randint(1, 6)
+        election, ballots, vectors = _leaning_election(rng, n, n_cands, rng.random() < 0.5)
+        labeled = range(1, 2 ** (n - 1))
+        drawn = rng.sample(labeled, min(64, len(labeled)))  # not in mask order
+        kinds = sorted(Counter(vectors).items())
+        splits = list(_reference_splits([m for _, m in kinds]))
+        try:
+            expected = [
+                _reference_check_masks(election, by, masks, sampled=sampled, signless=True)[0]
+                for by, masks, sampled in ((vectors, labeled, False), (vectors, drawn, True),
+                                           (sorted(vectors), splits, False))
+            ]
+        except NoUniqueWinnerError:
+            continue
+        got = [
+            check_consistency(election, ballots, limit=n),  # the range path
+            _check_masks(election, vectors, drawn, sampled=True),
+            check_consistency_splits(election, ballots),  # the per-block path
+        ]
+        assert got == expected
+        for path, report in zip(("labeled", "sampled", "splits"), expected):
+            violations[path] += len(report.violations)
+    assert min(violations.values()) > 0, violations
 
 
 def test_split_masks_match_the_reference_generator(monkeypatch):
