@@ -244,30 +244,31 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"candidates: {len(election.candidates)}"
     ]
 
-    # a search with too many items to list is skipped with their exact count
+    # a search with too many items to list is skipped with their exact count;
+    # past the cap on additions, the removal counterexamples are still listed
     try:
         counterexamples = search_no_show(election, ballots, method=config.method)
-    except OutputCapError as exc:
-        findings += exc.count
-        report["no_show"] = {"n_counterexamples": exc.count, "skipped": str(exc)}
-        lines.append(f"no-show search: skipped ({exc})")
-    else:
-        findings += len(counterexamples)
-        report["no_show"] = {
-            "n_counterexamples": len(counterexamples),
-            "counterexamples": [
-                {
-                    "kind": ce.kind,
-                    "voter_id": ce.voter_id,
-                    "grades": dict(ce.grades),
-                    "before": _describe_outcome(ce.before),
-                    "after": _describe_outcome(ce.after),
-                }
-                for ce in counterexamples
-            ],
-        }
+        no_show: dict = {"n_counterexamples": len(counterexamples)}
         lines.append(f"no-show search: {len(counterexamples)} counterexample(s)")
-        lines.extend(f"  {_describe_counterexample(ce)}" for ce in counterexamples)
+    except OutputCapError as exc:
+        counterexamples = exc.listed
+        no_show = {"n_counterexamples": exc.count + len(exc.listed), "skipped": str(exc)}
+        lines.append(f"no-show search: skipped ({exc})")
+    findings += no_show["n_counterexamples"]
+    report["no_show"] = {
+        **no_show,
+        "counterexamples": [
+            {
+                "kind": ce.kind,
+                "voter_id": ce.voter_id,
+                "grades": dict(ce.grades),
+                "before": _describe_outcome(ce.before),
+                "after": _describe_outcome(ce.after),
+            }
+            for ce in counterexamples
+        ],
+    }
+    lines.extend(f"  {_describe_counterexample(ce)}" for ce in counterexamples)
 
     consistency = None
     # the labeled check and the random sweep both decide by the mj3 score

@@ -4,8 +4,9 @@
 * :data:`KEYS` — ``(keys, rejects)`` per method: the key function that ranker
   sorts by and its rejection rule (None if it never rejects), from which the
   harness decides outcomes without a ranking.  The ``mj3`` key is the
-  three-grade majority gauge: ``search_cross_method_disagreements`` checks by
-  enumeration that it orders and ties like the ``mj`` key.
+  three-grade majority gauge: ``search_cross_method_disagreements`` checks,
+  for every pair of tallies of an electorate size, that it compares like the
+  ``mj`` key, which makes every election order and tie alike.
 * :func:`method_scale` — a method's default scale, or the refusal of a scale;
   it lives in :mod:`gradevote.results`, where the ranking builder applies it.
 """

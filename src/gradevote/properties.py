@@ -43,18 +43,18 @@ sign, which can never meet the premise; key columns are built for the rest
 only, a strongest-rival filter keeps the masks whose parts share a unique
 top, and the premise hits are counted per top over its key columns.  A
 report holds counts and violations only, no record per premise hit.
-:func:`search_cross_method_disagreements` compares whole orders and tie
-groups, taken from each method's sort key computed once per tally; the full
-rankers remain its test oracle.
+:func:`search_cross_method_disagreements` finds, once per electorate size,
+the tally pairs whose two sort keys compare differently, and ranks only the
+elections that hold one; the full rankers remain its test oracle.
 """
 
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice, product, repeat
+from itertools import accumulate, combinations, compress, islice, product, repeat
 from math import prod
-from operator import and_, eq, itemgetter, lt, mul
+from operator import and_, eq, itemgetter, lt, mul, ne
 
 from .approval import ApprovalTally, classify_block
 from .core import (
@@ -81,6 +81,13 @@ from .results import (  # Outcome and outcome_of are re-exported from here too
 # --------------------------------------------------------------------------
 # outcome plumbing shared by all searches
 # --------------------------------------------------------------------------
+
+def _require_at_least(least: int, **sizes: int) -> None:
+    """Refuse the first of ``sizes`` below ``least``: a search of nothing is not clean."""
+    for name, value in sizes.items():
+        if value < least:
+            raise ConfigError(f"{name} must be at least {least}, got {value}")
+
 
 def _key_table(
     method: str, tallies: Tallies, n_voters: int
@@ -142,11 +149,12 @@ _MAX_LISTED = 250_000  # counterexamples or deviations one search lists at most
 
 class OutputCapError(VoteError):
     """A search would list more than ``_MAX_LISTED`` items; ``count`` is
-    their exact number."""
+    their exact number, ``listed`` the removal counterexamples of :func:`search_no_show`."""
 
     def __init__(self, count: int, items: str) -> None:
         super().__init__(f"{count} {items} exceed the output cap of {_MAX_LISTED}")
         self.count = count
+        self.listed: list = []
 
 
 def _bump(counts: tuple[int, ...], grade: int, step: int) -> tuple[int, ...]:
@@ -543,8 +551,8 @@ def check_consistency(
     and the report is not marked sampled.
     """
     method_scale("mj3", election.scale)  # partitions are decided by the mj3 key
-    if samples is not None and samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {samples}")
+    if samples is not None:
+        _require_at_least(1, samples=samples)
     vectors = _ballot_vectors(election, ballots)
     n = len(vectors)
     if n < 2:
@@ -609,8 +617,8 @@ def random_consistency_sweep(
     Instances without a unique combined winner are redrawn.  Returns one
     report with the counts and violations of all instances added up.
     """
-    if max_voters < 2:
-        raise ConfigError(f"max_voters must be at least 2, got {max_voters}")
+    _require_at_least(2, max_voters=max_voters)
+    _require_at_least(1, n_instances=n_instances)
     rng = random.Random(seed)
     total = PartitionCheckReport(n_ballots=0)
     done = 0
@@ -705,7 +713,8 @@ def search_no_show(
     ballots by product sets over the addition kernel's table
     (:func:`_winning_vectors`), so the search never enumerates the grade
     vectors.  It raises :class:`OutputCapError` when there are more than
-    ``_MAX_LISTED`` addition counterexamples to list.
+    ``_MAX_LISTED`` addition counterexamples to list; the error's ``listed``
+    then holds the removal counterexamples.
     """
     scale = election.scale
     method = resolve_method(method, scale)
@@ -714,10 +723,7 @@ def search_no_show(
     base = [p.counts for p in election.profiles]
     n = election.n_voters
     before = _top(*_key_table(method, base, n))
-    found = _addition_counterexamples(
-        ids, scale.labels, _addition_rows(method, base, n, scale.size), before
-    )
-
+    removals = []
     if ballots:
         vectors = _ballot_vectors(election, ballots)
         seen: set[tuple[int, ...]] = set()
@@ -732,7 +738,7 @@ def search_no_show(
             # leaving helps when it elects a unique winner that the ballot
             # grades better (a smaller position) than a candidate of before
             if any(vector[x] > vector[without[0]] for x in before):
-                found.append(
+                removals.append(
                     NoShowCounterexample(
                         kind="removal",
                         grades={cid: scale.labels[g] for cid, g in zip(ids, vector)},
@@ -741,7 +747,14 @@ def search_no_show(
                         after=_outcome(ids, without),
                     )
                 )
-    return found
+    try:
+        additions = _addition_counterexamples(
+            ids, scale.labels, _addition_rows(method, base, n, scale.size), before
+        )
+    except OutputCapError as exc:
+        exc.listed = removals
+        raise
+    return additions + removals
 
 
 @dataclass
@@ -757,14 +770,10 @@ class NoShowSweepReport:
         return not self.counterexamples
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """All tuples of ``parts`` non-negative integers summing to ``total``, in
+    lexicographic order."""
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
 
 
 def search_no_show_exhaustive(
@@ -780,11 +789,12 @@ def search_no_show_exhaustive(
     all of them must come back clean on three grades.  The key tables are
     built once per tally and electorate size, so each instance only looks up.
     """
+    _require_at_least(1, max_voters=max_voters)
     scale = method_scale(method, None)
     ids = ("a", "b")
     report = NoShowSweepReport(n_instances=0, n_additions_checked=0)
     for n in range(1, max_voters + 1):
-        tallies = list(_compositions(n, scale.size))
+        tallies = _compositions(n, scale.size)
         keys, approved = _key_table(method, tallies, n)
         key_rows, approved_rows = _addition_rows(method, tallies, n, scale.size)
         for pair in product(range(len(tallies)), repeat=len(ids)):
@@ -828,8 +838,17 @@ def _cross_method_keys(n: int) -> tuple[list[tuple[int, ...]], list, list]:
     """Every three-grade tally of ``n`` ballots with its ``mj3`` key and its
     ``mj`` key, each from :func:`_key_table` over all of them, so any
     selection orders and ties as the rankers do."""
-    tallies = list(_compositions(n, 3))
+    tallies = _compositions(n, 3)
     return tallies, _key_table("mj3", tallies, n)[0], _key_table("mj", tallies, n)[0]
+
+
+def _disagreeing_pairs(score_keys: Sequence, removal_keys: Sequence) -> set[tuple[int, int]]:
+    """Each pair of tally positions, both ways round, whose score keys and
+    removal keys compare differently (``<``, ``==`` or ``>``)."""
+    signs = [[(k[i] > k[j]) - (k[i] < k[j]) for i, j in combinations(range(len(k)), 2)]
+             for k in (score_keys, removal_keys)]
+    pairs = compress(combinations(range(len(score_keys)), 2), map(ne, *signs))
+    return {pair for i, j in pairs for pair in ((i, j), (j, i))}
 
 
 def search_cross_method_disagreements(
@@ -837,34 +856,42 @@ def search_cross_method_disagreements(
 ) -> CrossMethodReport:
     """Compare mj3 (score form) with general majority judgement exhaustively.
 
-    Enumerates every 3-grade election with up to ``max_voters`` ballots and up
+    Covers every 3-grade election with up to ``max_voters`` ballots and up
     to ``max_candidates`` candidates (by per-candidate tallies, which is all
-    either method reads) and diffs the two rankings, tie groups included.
-    Each ranking is taken from the sort key its ranker uses, computed once
-    per tally and electorate size (:func:`_cross_method_keys`): the
-    ``(s, t)`` pair of ``mj3_rank``, and the majority gauge of ``mj_rank``,
-    extended by the removal key over every gauge group that distinct tallies
-    share, so it is equal only for equal tallies.  No profile or ranking is built per election; the
-    full rankers remain the test oracle of this search.
+    either method reads) and diffs the two rankings, tie groups included,
+    each sorted by its ranker's key (:func:`_cross_method_keys`).  A stable
+    sort puts ``a`` before ``b`` exactly when ``a``'s key is smaller, or equal
+    with ``a`` first, and ties them exactly when the keys are equal, so two
+    such rankings are equal exactly when every pair of candidates compares
+    alike (``<``, ``==``, ``>``) under both keys.  The search therefore finds
+    the :func:`_disagreeing_pairs` of tallies once per electorate size,
+    counts the elections it covers, and walks elections (in order) only in a
+    block of candidates and voters that has such a pair, ranking and listing
+    those that hold one.
     """
+    _require_at_least(1, max_voters=max_voters, max_candidates=max_candidates)
     tables = {n: _cross_method_keys(n) for n in range(1, max_voters + 1)}
+    pairs = {n: _disagreeing_pairs(*table[1:]) for n, table in tables.items()}
     report = CrossMethodReport(n_instances=0)
     for n_cands in range(1, max_candidates + 1):
         ids = [f"c{i + 1}" for i in range(n_cands)]
         for n in range(1, max_voters + 1):
             tallies, score_keys, removal_keys = tables[n]
+            report.n_instances += len(tallies) ** n_cands
+            if not pairs[n]:
+                continue
             for combo in product(range(len(tallies)), repeat=n_cands):
-                report.n_instances += 1
+                if pairs[n].isdisjoint(combinations(combo, 2)):
+                    continue
                 by_score = _ranking([score_keys[i] for i in combo])
                 by_removal = _ranking([removal_keys[i] for i in combo])
-                if by_score != by_removal:
-                    counts = {cid: tallies[i] for cid, i in zip(ids, combo)}
-                    score_order = tuple(ids[i] for i in by_score[0])
-                    removal_order = tuple(ids[i] for i in by_removal[0])
-                    report.disagreements.append(
-                        f"counts {counts}: score order {score_order} "
-                        f"vs removal order {removal_order}"
-                    )
+                counts = {cid: tallies[i] for cid, i in zip(ids, combo)}
+                score_order = tuple(ids[i] for i in by_score[0])
+                removal_order = tuple(ids[i] for i in by_removal[0])
+                report.disagreements.append(
+                    f"counts {counts}: score order {score_order} "
+                    f"vs removal order {removal_order}"
+                )
     return report
 
 
@@ -906,6 +933,7 @@ def polarization_sweep(
     strong approvals for x >= 1; a candidate with a_strong <= n_none must lose
     approval margin (n_none strictly up, a_any strictly down) for x >= 1.
     """
+    _require_at_least(1, n_cases=n_cases)
     rng = random.Random(seed)
     problems: list[str] = []
     for _ in range(n_cases):

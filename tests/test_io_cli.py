@@ -674,7 +674,9 @@ def test_cli_check_skips_only_a_section_past_the_output_cap(tmp_path, capsys):
     ]
     assert main(["check", *files, "--probe", "v2", "--format", "json"]) == 3
     report = json.loads(capsys.readouterr().out)
-    assert report["no_show"] == {"n_counterexamples": 4**9, "skipped": skipped}
+    assert report["no_show"] == {
+        "n_counterexamples": 4**9, "skipped": skipped, "counterexamples": []
+    }
     assert report["probe"]["n_alternatives"] == 4**11 - 1
     # v1 grades a best, and 3^12 + 2^12 deviations elect a
     files = _padded_mj_files(tmp_path, 12)
@@ -683,6 +685,44 @@ def test_cli_check_skips_only_a_section_past_the_output_cap(tmp_path, capsys):
         "voter_id": "v1",
         "n_improving": 3**12 + 2**12,
         "skipped": "535537 improving deviations exceed the output cap of 250000",
+    }
+
+
+def test_cli_check_lists_removals_past_the_addition_cap(tmp_path, capsys):
+    # four extra ballots per grading of the eight weak candidates flip the
+    # winner, and v1 leaving elects a, which v1 grades above b
+    weak = [f"w{i + 1}" for i in range(8)]
+    config = {
+        "method": "mj",
+        "scale": ["g0", "g1", "g2", "g3"],
+        "candidates": [{"id": cid} for cid in ("a", "b", "c", *weak)],
+    }
+    vectors = [(0, 1, 1), (2, 0, 1), (2, 2, 1), (2, 2, 3), (2, 2, 3), (2, 3, 3)]
+    files = _write_check(tmp_path, config, [
+        {**{cid: f"g{g}" for cid, g in zip("abc", v)}, **dict.fromkeys(weak, "g3")}
+        for v in vectors
+    ])
+    skipped = "262144 addition counterexamples exceed the output cap of 250000"
+    grades = "a=g0, b=g1, c=g1, " + ", ".join(f"{w}=g3" for w in weak)
+    assert main(["check", *files]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "method: mj  ballots: 6  candidates: 11",
+        f"no-show search: skipped ({skipped})",
+        f"  removal voter v1 ({grades}): b -> a",
+        "consistency: skipped (needs a 3-grade scale and 2+ ballots)",
+        "result: PROPERTY VIOLATIONS FOUND",
+    ]
+    assert main(["check", *files, "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["no_show"] == {
+        "n_counterexamples": 4**9 + 1,
+        "skipped": skipped,
+        "counterexamples": [{
+            "kind": "removal",
+            "voter_id": "v1",
+            "grades": {"a": "g0", "b": "g1", "c": "g1", **dict.fromkeys(weak, "g3")},
+            "before": "b",
+            "after": "a",
+        }],
     }
 
 

@@ -1,11 +1,13 @@
 """Brute-force property harness: consistency, participation, polarization."""
 
+import ast
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, product
+from math import comb
 from operator import itemgetter, sub
 
 import pytest
@@ -1164,6 +1166,48 @@ def test_addition_counterexamples_are_listed_up_to_the_output_cap():
     assert raised.value.count == 4**9
 
 
+def _padded_removal(n_weak):
+    """A 4-grade ``mj`` election with four addition counterexamples (extra
+    ballots that elect c or a over b) and one removal counterexample (v1
+    leaving elects a, which v1 grades above b), padded with ``n_weak``
+    candidates that every voter grades worst.  Found among the elections of
+    three candidates and six ballots by ``_reference_no_show``."""
+    weak = [f"w{i + 1}" for i in range(n_weak)]
+    candidates = [Candidate(cid) for cid in ("a", "b", "c", *weak)]
+    vectors = [(0, 1, 1), (2, 0, 1), (2, 2, 1), (2, 2, 3), (2, 2, 3), (2, 3, 3)]
+    return _election(
+        [{**{cid: f"g{g}" for cid, g in zip("abc", v)}, **dict.fromkeys(weak, "g3")}
+         for v in vectors],
+        candidates=candidates, scale=SCALE4,
+    )
+
+
+def test_removal_counterexamples_are_listed_past_the_addition_cap():
+    election, ballots = _padded_removal(2)
+    found = search_no_show(election, ballots)
+    assert found == _reference_no_show(election, ballots, "mj")
+    assert [ce.kind for ce in found] == ["addition"] * 4 * 4**2 + ["removal"]
+    election, ballots = _padded_removal(8)
+    with pytest.raises(OutputCapError, match=(
+        "262144 addition counterexamples exceed the output cap of 250000"
+    )) as raised:
+        search_no_show(election, ballots)
+    assert raised.value.count == 4 * 4**8
+    assert raised.value.listed == [
+        NoShowCounterexample(
+            kind="removal",
+            grades={"a": "g0", "b": "g1", "c": "g1", **{f"w{i}": "g3" for i in range(1, 9)}},
+            voter_id="v1",
+            before=Outcome("winner", winner="b"),
+            after=Outcome("winner", winner="a"),
+        )
+    ]
+    # without ballots there is no removal form
+    with pytest.raises(OutputCapError) as raised:
+        search_no_show(election)
+    assert raised.value.listed == []
+
+
 def test_probe_lists_up_to_the_output_cap():
     # v1 grades a best: a deviation improves when it elects a
     election, ballots = _padded_mj(12)
@@ -1270,6 +1314,89 @@ def test_cross_method_search_matches_the_full_rankers(max_voters):
         ) == _cross_method_reference(
             max_voters=max_voters, max_candidates=max_candidates
         )
+
+
+def _per_combo_search(*, max_voters, max_candidates):
+    """The cross-method search as it ran before the pair kernel: both
+    rankings of every election, each from the key table of
+    ``properties._cross_method_keys``, diffed by order and tie groups."""
+    report = CrossMethodReport(n_instances=0)
+    for n_cands in range(1, max_candidates + 1):
+        ids = [f"c{i + 1}" for i in range(n_cands)]
+        for n in range(1, max_voters + 1):
+            tallies, score_keys, removal_keys = properties._cross_method_keys(n)
+            for combo in product(range(len(tallies)), repeat=n_cands):
+                report.n_instances += 1
+                by_score = _ranking([score_keys[i] for i in combo])
+                by_removal = _ranking([removal_keys[i] for i in combo])
+                if by_score != by_removal:
+                    counts = {cid: tallies[i] for cid, i in zip(ids, combo)}
+                    score_order = tuple(ids[i] for i in by_score[0])
+                    removal_order = tuple(ids[i] for i in by_removal[0])
+                    report.disagreements.append(
+                        f"counts {counts}: score order {score_order} "
+                        f"vs removal order {removal_order}"
+                    )
+    return report
+
+
+def _perturbed_keys(seed):
+    """``_cross_method_keys`` with each removal key replaced by its rank in
+    the table, moved by a seeded offset: some distinct tallies then tie
+    and some swap places, the same way for every call with the same ``n``."""
+    def keys(n):
+        tallies, score_keys, removal_keys = _cross_method_keys(n)
+        rng = random.Random(seed * 1000 + n)
+        rank = {key: 2 * i for i, key in enumerate(sorted(set(removal_keys)))}
+        offsets = (-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3)
+        return tallies, score_keys, [rank[key] + rng.choice(offsets) for key in removal_keys]
+    return keys
+
+
+def test_pair_kernel_lists_disagreements_like_the_per_combo_search(monkeypatch):
+    # three-grade agreement holds, so only patched keys make disagreements
+    blocks = set()
+    for seed in range(8):
+        monkeypatch.setattr(properties, "_cross_method_keys", _perturbed_keys(seed))
+        for max_voters, max_candidates in product(range(1, 5), range(1, 4)):
+            sizes = {"max_voters": max_voters, "max_candidates": max_candidates}
+            report = search_cross_method_disagreements(**sizes)
+            assert report == _per_combo_search(**sizes)
+        # the last report, of up to 4 voters and 3 candidates, spans every block
+        for line in report.disagreements:
+            counts = ast.literal_eval(line[len("counts "):line.index(": score")])
+            blocks.add((len(counts), sum(next(iter(counts.values())))))
+    # every block of two or more candidates had a disagreement to list
+    assert blocks == set(product((2, 3), range(1, 5)))
+
+
+def test_cross_method_search_reaches_twelve_voters_and_five_candidates():
+    report = search_cross_method_disagreements(max_voters=12, max_candidates=5)
+    assert report.ok
+    assert report.n_instances == sum(
+        comb(n + 2, 2) ** k for k in range(1, 6) for n in range(1, 13)
+    ) == 11_292_518_414
+
+
+_EMPTY_SWEEPS = [
+    (search_cross_method_disagreements, "max_voters", 0),
+    (search_cross_method_disagreements, "max_candidates", 0),
+    (search_cross_method_disagreements, "max_voters", -2),
+    (search_no_show_exhaustive, "max_voters", 0),
+    (search_no_show_exhaustive, "max_voters", -1),
+    (random_consistency_sweep, "n_instances", 0),
+    (random_consistency_sweep, "n_instances", -4),
+    (polarization_sweep, "n_cases", 0),
+    (polarization_sweep, "n_cases", -1),
+]
+
+
+@pytest.mark.parametrize("search, name, value", _EMPTY_SWEEPS, ids=[
+    f"{search.__name__}-{name}={value}" for search, name, value in _EMPTY_SWEEPS
+])
+def test_a_sweep_of_nothing_is_refused(search, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be at least 1, got {value}$"):
+        search(**{name: value})
 
 
 # ---------------------------------------------------------------------------
