@@ -35,13 +35,20 @@ ones a search reports are counted from products of those sets.  Vectors are
 listed only from a count that is not zero, and a search that would list
 more than 250,000 raises :class:`OutputCapError` with the exact count.  The
 exhaustive search builds the table once per tally and electorate size.
-Both consistency checks decide their partitions, given as bitmasks over the
-ballots, by popcounts, with no tally rebuilt per partition:
-:func:`_check_masks` decides a block of masks at a time.  Per-candidate sign
-tables first drop every mask where some candidate's score strictly switches
-sign, which can never meet the premise; key columns are built for the rest
-only, a strongest-rival filter keeps the masks whose parts share a unique
-top, and the premise hits are counted per top over its key columns.  A
+Both exhaustive consistency checks walk one little-endian mixed-radix count
+over ballot kinds, with no tally rebuilt per partition: digit ``k`` of a
+position is how many ballots of kind ``k`` part 1 takes.  The labeled check
+walks each ballot as a kind of its own, so a position is its bitmask; the
+split check walks the sorted kinds last first, so positions count in
+``product`` order.  A candidate's part-1 index into a cached table of the
+keys it can reach is a base per block plus a low index built once, and part
+2's is the last index less it, so :func:`_check_masks` decides a block of
+positions by lookups, with no popcount or key computed per position; sampled
+masks are decided by popcounts instead.  Per-candidate sign tables first
+drop every partition where some candidate's score strictly switches sign,
+which can never meet the premise; key columns are built for the rest
+only, a strongest-rival filter keeps the partitions whose parts share a
+unique top, and the premise hits are counted per top over its key columns.  A
 report holds counts and violations only, no record per premise hit.
 :func:`search_cross_method_disagreements` finds, once per electorate size,
 the tally pairs whose two sort keys compare differently, and ranks only the
@@ -52,9 +59,11 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, combinations, compress, islice, product, repeat
 from math import prod
 from operator import and_, eq, itemgetter, lt, mul, ne
+from typing import NamedTuple
 
 from .approval import ApprovalTally, classify_block
 from .core import (
@@ -297,7 +306,8 @@ class ConsistencyViolation:
 @dataclass
 class PartitionCheckReport:
     """Outcome of one consistency check over a family of partitions: how many
-    were checked and met the premise, and the violations in mask order."""
+    were checked and met the premise, and the violations in the order the
+    partitions were checked."""
 
     n_ballots: int
     n_partitions_checked: int = 0
@@ -335,7 +345,7 @@ def _ballot_vectors(
     return vectors
 
 
-_BLOCK = 1 << 10  # masks decided together; a range block shares its high bits
+_BLOCK = 1 << 10  # positions or sampled masks decided together
 
 
 def _part_keys(n: int, tallies: Iterable[tuple[int, int, int]]) -> list[int]:
@@ -344,6 +354,18 @@ def _part_keys(n: int, tallies: Iterable[tuple[int, int, int]]) -> list[int]:
     ``a * (2n + 1) + b``, which orders as the pair since ``|b| <= n``."""
     span = 2 * n + 1
     return [a * span + b for a, b in mj3_keys(tallies, n)]
+
+
+@lru_cache(maxsize=256)
+def _reach_keys(n: int, most_p: int, most_q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The key (:func:`_part_keys`) of every part tally ``(p, _, q)`` with
+    ``p <= most_p`` and ``q <= most_q`` out of ``n`` ballots, at index ``p *
+    (most_q + 1) + q``, and the same keys in reverse order: index ``j`` of the
+    reverse is the key of the other part, whose index is ``e - j`` for the
+    last index ``e``.  Cached per ``(n, most_p, most_q)``, so never mutated."""
+    table = tuple(_part_keys(
+        n, [(p, 0, q) for p in range(most_p + 1) for q in range(most_q + 1)]))
+    return table, table[::-1]
 
 
 def _popcounts(bits: int, masks: Iterable[int]) -> list[int]:
@@ -356,67 +378,118 @@ def _sign_table(table: Sequence[int], end: int) -> list[bool]:
     totals sit at index ``end`` of the key list ``table``: whether the keys of
     part 1 and of part 2 (index ``end - j``) keep their sign, that is, have no
     strict sign switch.  A key's sign is minus its score's."""
-    return list(map((0).__le__, map(mul, table, table[end::-1])))
+    # a whole-tuple slice is the tuple itself: a cached table is not copied
+    return list(map((0).__le__, map(mul, table, reversed(table[:end + 1]))))
+
+
+class _Walk(NamedTuple):
+    """Positions of a little-endian mixed-radix count over ballot kinds:
+    digit ``k`` of a position, from 0 to ``copies[k]``, is how many ballots
+    of kind ``k`` part 1 takes."""
+
+    copies: tuple[int, ...]
+    positions: range
+
+
+def _digits(position: int, copies: Sequence[int]) -> list[int]:
+    """The digits of ``position`` in a walk over kinds of ``copies``, least
+    significant first."""
+    digits = []
+    for m in copies:
+        position, digit = divmod(position, m + 1)
+        digits.append(digit)
+    return digits
+
+
+_Columns = Iterator[tuple[int, list[int], list[list[int]], list[list[int]]]]
+
+
+def _walk_columns(
+    kinds: Sequence[tuple[int, ...]], walk: _Walk, totals: list[tuple[int, int, int]], n: int
+) -> _Columns:
+    """Each block of at most ``_BLOCK`` of ``walk``'s positions over
+    ``kinds``, in order, as its size, the positions of it where no
+    candidate's key strictly switches sign between the parts (a key's sign is
+    minus its score's: ``s > 0`` iff ``p > q``, ``s = 0`` iff ``p = q = 0``),
+    and per candidate a column of part-1 keys and one of part-2 keys for
+    those positions only.
+
+    A candidate with totals ``(P, _, Q)`` has the part-1 index ``j = p * (Q
+    + 1) + q`` in its key table (:func:`_reach_keys`), and part 2 the index
+    ``e - j`` of its last index ``e``: the table and its reverse give both
+    keys at ``j``, and one sign table per candidate (:func:`_sign_table`)
+    each position's flag.  Each ballot a kind puts in part 1 steps ``j`` by
+    ``Q + 1`` if it grades the candidate positive, by 1 if negative.  A block
+    spans the low digits, whose radices multiply to at most ``_BLOCK``, and a
+    chunk of the next digit, so ``j`` is a base per block plus a low index
+    built once.  The first candidate's flags are looked up over the whole
+    block, each other candidate's only at the positions still kept, and keys
+    at the positions every flag keeps.
+    """
+    copies = walk.copies
+    start, stop = walk.positions.start, walk.positions.stop
+    tables = [_reach_keys(n, p, q) for p, _, q in totals]
+    oks = [_sign_table(table, len(table) - 1) for table, _ in tables]
+    # steps[c][k]: how far each ballot of kind k in part 1 moves c's index
+    steps = [list(map([q + 1, 0, 1].__getitem__, column))
+             for column, (_, _, q) in zip(zip(*kinds), totals)]
+    room, cut, width = min(_BLOCK, stop), 0, 1
+    for m in copies:
+        if width * (m + 1) > room:
+            break
+        width *= m + 1
+        cut += 1
+    radix = copies[cut] + 1 if cut < len(copies) else 1
+    chunk = max(1, min(radix, _BLOCK // width, -(-stop // width)))
+    spans = [m + 1 for m in copies[:cut]] + [chunk] * (chunk > 1)
+    lows = []
+    for col in steps:
+        low = [0]
+        for r, s in zip(spans, col):
+            low += [j + d for d in range(s, r * s, s) for j in low] if s else low * (r - 1)
+        lows.append(low)
+    # a block is a chunk of digit cut, so its low digits are all 0
+    low_width, group, width = width, width * radix, width * chunk
+    getters: dict[int, itemgetter] = {}
+    x = start - start % group
+    x += (start - x) // width * width
+    while x < stop:
+        end = min(x + width, x - x % group + group)  # a chunk never crosses a group
+        high = _digits(x // low_width, copies[cut:]) if x else ()
+        lo, hi = max(start, x) - x, min(end, stop) - x
+        bases = [sum(d * s for d, s in zip(high, col[cut:])) for col in steps]
+        b = bases[0]
+        if hi not in getters:  # a trailing index 0 keeps the getter's result a tuple
+            getters[hi] = itemgetter(*lows[0][:hi], 0)
+        at = list(compress(range(lo, hi), getters[hi](oks[0][b:b + lows[0][-1] + 1])[lo:hi]))
+        for ok, b, low in zip(oks[1:], bases[1:], lows[1:]):
+            if not at:
+                break
+            ok = ok[b:b + low[-1] + 1]
+            at = list(compress(at, map(ok.__getitem__, map(low.__getitem__, at))))
+        parts1 = [[b + low[i] for i in at] for b, low in zip(bases, lows)]
+        yield (
+            hi - lo,
+            [x + i for i in at],
+            [list(map(table.__getitem__, js)) for (table, _), js in zip(tables, parts1)],
+            [list(map(back.__getitem__, js)) for (_, back), js in zip(tables, parts1)],
+        )
+        x = end
 
 
 def _key_columns(
     masks: Iterable[int], signs: list, totals: list[tuple[int, int, int]], n: int
-) -> Iterator[tuple[int, list[int], list[list[int]], list[list[int]]]]:
-    """Each block of at most ``_BLOCK`` masks, in order, as its size, the
-    masks of it where no candidate's key strictly switches sign between the
-    parts (a key's sign is minus its score's: ``s > 0`` iff ``p > q``, ``s =
-    0`` iff ``p = q = 0``), and per candidate a column of part-1 keys and one
-    of part-2 keys (:func:`_part_keys`) for those masks only.  A part's ``(p,
-    q)`` are popcounts against the candidate's positive and negative ballot
-    bitmasks.
+) -> _Columns:
+    """Each block of at most ``_BLOCK`` masks, in order, as :func:`_walk_columns`
+    gives a block of positions, for masks in any order (sampled ones).
 
-    A range is cut at multiples of ``_BLOCK``: a candidate's part-1 index ``j
-    = p * (n + 1) + q`` is then a base per block plus a low-bits index built
-    once, and its part-2 index is ``e - j``, ``e`` being the index of its
-    totals.  So one key list of every index gives both keys, and one sign
-    table per candidate (:func:`_sign_table`) each mask's flag: the first
-    candidate's flags are taken for the whole block by its low-bits getter,
-    each other candidate's only for the masks still kept, and keys are looked
-    up for the masks every flag keeps.  Other masks have their part keys
-    counted per block, with no table of every index (that would hold ``(n +
-    1)²`` keys), and are kept by ``k1 * k2 >= 0``.
+    A part's ``(p, q)`` are popcounts against the candidate's positive and
+    negative ballot bitmasks ``signs``, part 2's are the totals less part 1's,
+    and both parts' keys are counted per block with :func:`_part_keys`, with
+    no table of every index (that would hold ``(n + 1)²`` keys for a large
+    sampled electorate).  A mask is kept by ``k1 * k2 >= 0`` for every
+    candidate.
     """
-    side = n + 1
-    if isinstance(masks, range) and masks.step == 1:
-        table = _part_keys(n, [(p, 0, q) for p in range(side) for q in range(side)])
-        ends = [p * side + q for p, _, q in totals]
-        oks = [_sign_table(table, e) for e in ends]
-        # low[i]: the part-1 index of the low bits i, doubled bit by bit (at
-        # least one bit, so that the getter below returns a tuple)
-        bits = min(_BLOCK.bit_length() - 1, max(1, (masks.stop - 1).bit_length()))
-        lows = []
-        for pos, neg in signs:
-            low = [0]
-            for bit in range(bits):
-                step = side if pos >> bit & 1 else neg >> bit & 1
-                low += [j + step for j in low]
-            lows.append(low)
-        get = itemgetter(*lows[0])
-        for start in range(masks.start & -_BLOCK, masks.stop, _BLOCK):
-            block = range(max(start, masks.start), min(start + _BLOCK, masks.stop))
-            bases = [(start & pos).bit_count() * side + (start & neg).bit_count()
-                     for pos, neg in signs]
-            cut = slice(block.start - start, block.stop - start)
-            at = list(compress(range(cut.start, cut.stop), get(oks[0][bases[0]:])[cut]))
-            for ok, b, low in zip(oks[1:], bases[1:], lows[1:]):
-                if not at:
-                    break
-                ok = ok[b:]
-                at = list(compress(at, map(ok.__getitem__, map(low.__getitem__, at))))
-            parts1 = [[b + low[i] for i in at] for b, low in zip(bases, lows)]
-            yield (
-                len(block),
-                [start + i for i in at],
-                [list(map(table.__getitem__, js)) for js in parts1],
-                [list(map(table.__getitem__, map(e.__sub__, js)))
-                 for e, js in zip(ends, parts1)],
-            )
-        return
     masks = iter(masks)
     while block := list(islice(masks, _BLOCK)):
         ps = [_popcounts(pos, block) for pos, _ in signs]
@@ -443,11 +516,11 @@ def _unique_tops(
     keys1: Sequence[Sequence[int]], keys2: Sequence[Sequence[int]], strongest: list[int]
 ) -> Iterator[tuple[int, Sequence[int], list[int], list[int]]]:
     """``(w, at, w1, w2)`` for each candidate ``w``, strongest first, that is
-    the same unique top of both parts of some masks of a block: ``at`` are
-    those masks' positions in block order, ``w1`` and ``w2`` are ``w``'s key
-    columns at them.  ``w``'s rivals are tested strongest first, each keeping
-    only the masks where ``w``'s key is strictly below the rival's in both
-    parts."""
+    the same unique top of both parts of some partitions of a block: ``at``
+    are those partitions' indices in block order, ``w1`` and ``w2`` are
+    ``w``'s key columns at them.  ``w``'s rivals are tested strongest first,
+    each keeping only the partitions where ``w``'s key is strictly below the
+    rival's in both parts."""
     size = len(keys1[0])
     for w in strongest:
         at, w1, w2 = range(size), keys1[w], keys2[w]
@@ -469,48 +542,69 @@ def _unique_tops(
 def _check_masks(
     election: ElectionProfile,
     vectors: Sequence[tuple[int, ...]],
-    masks: Iterable[int],
+    masks: Iterable[int] | _Walk,
     *,
     sampled: bool,
 ) -> PartitionCheckReport:
-    """Evaluate the consistency premise over 2-partitions given as bitmasks.
+    """Evaluate the consistency premise over 2-partitions.
 
-    Bit ``i`` of a mask puts ballot ``vectors[i]`` in part 1, the rest are in
-    part 2.  A part's ``(p, q)`` for a candidate are popcounts against that
-    candidate's positive and negative ballot bitmasks, taken as one ``mj3``
-    key, a block of masks at a time.  A strict sign switch for *any*
-    candidate breaks score additivity across the parts (positives cancelled
-    inside one part reappear in the union), and with it the consistency
-    guarantee, so :func:`_key_columns` drops those masks before it builds a
-    key column.  Of the masks whose parts share a unique top ``w``
-    (:func:`_unique_tops`), the premise hits, where ``w``'s two keys are both
-    zero or both not, are counted over ``w``'s key columns.  A hit of a ``w``
-    that is not the combined winner is a violation, listed in mask order.
+    ``masks`` is a :class:`_Walk` over the kinds ``vectors``, a ``range`` of
+    bitmasks, walked as the kinds of one ballot each (bit ``i`` puts ballot
+    ``vectors[i]`` in part 1, so a position is its mask), or any other
+    bitmasks, decided by popcounts (:func:`_key_columns`).  Either source
+    gives blocks of positions with, per candidate, the ``mj3`` keys of both
+    parts, and drops first every position where some candidate's score
+    strictly switches sign: that breaks score additivity across the parts
+    (positives cancelled inside one part reappear in the union), and with it
+    the consistency guarantee.  On the positions left the packed keys add
+    exactly, ``k1 + k2 == key(totals)``: each candidate's ``(p, q)`` add, a
+    key is ``q - p * span`` where ``p > q`` and ``q * span - p`` elsewhere,
+    both linear, and two parts of one sign take the same form as their totals
+    (a zero key, ``p = q = 0``, is 0 in both).  Keys that add keep any strict
+    order both parts agree on, so a unique top ``w`` of both parts stays
+    below each rival's key in the union too.  Of the positions whose parts
+    share a unique top ``w`` (:func:`_unique_tops`), the premise hits, where
+    ``w``'s two keys are both zero or both not, are counted over ``w``'s key
+    columns.  A hit of a ``w``
+    that is not the combined winner is a violation, listed in position order
+    with part 1's size read from the position's digits (or mask bits).
     """
     require_rankable(election)
     ids = [c.id for c in election.candidates]
-    n = len(vectors)
-    signs = [
-        [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
-        for c in range(len(ids))
+    if isinstance(masks, range) and masks.step == 1:
+        masks = _Walk((1,) * len(vectors), masks)
+    walked = isinstance(masks, _Walk)
+    copies = masks.copies if walked else (1,) * len(vectors)
+    n = sum(copies)
+    totals = [
+        (sum(compress(copies, map((0).__eq__, column))), 0,
+         sum(compress(copies, map((2).__eq__, column))))
+        for column in zip(*vectors)
     ]
     span = 2 * n + 1
-    totals = [(pos.bit_count(), 0, neg.bit_count()) for pos, neg in signs]
     overall = _part_keys(n, totals)
     top = min(overall)
     if overall.count(top) != 1:
         raise NoUniqueWinnerError("combined election has no unique winner")
     winner = overall.index(top)
     strongest = sorted(range(len(ids)), key=overall.__getitem__)
+    if walked:
+        blocks = _walk_columns(vectors, masks, totals, n)
+    else:
+        signs = [
+            [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
+            for c in range(len(ids))
+        ]
+        blocks = _key_columns(masks, signs, totals, n)
     report = PartitionCheckReport(n_ballots=n, sampled=sampled)
-    for size, kept, columns1, columns2 in _key_columns(masks, signs, totals, n):
+    for size, kept, columns1, columns2 in blocks:
         report.n_partitions_checked += size
         if not kept:
             continue
         found = []
         for w, at, w1, w2 in _unique_tops(columns1, columns2, strongest):
-            # _key_columns kept no strict sign switch, so w's scores keep
-            # their sign unless exactly one of them is zero
+            # no strict sign switch is left, so w's scores keep their sign
+            # unless exactly one of them is zero
             hits = list(map(eq, map((0).__eq__, w1), map((0).__eq__, w2)))
             report.n_premise_satisfied += hits.count(True)
             if w != winner:
@@ -518,7 +612,7 @@ def _check_masks(
                              compress(w2, hits), repeat(w))
         found.sort()  # each position has one top, so no tie reaches a key
         for at, k1, k2, w in found:
-            size1 = kept[at].bit_count()
+            size1 = sum(_digits(kept[at], copies)) if walked else kept[at].bit_count()
             report.violations.append(
                 ConsistencyViolation(
                     part_sizes=(size1, n - size1),
@@ -586,23 +680,22 @@ def check_consistency_splits(
     Identical ballots are grouped first, and every distinct split of the
     ballot *multiset* into two non-empty parts is checked once.  Much cheaper
     than the labeled enumeration when ballots repeat, so profiles well beyond
-    the labeled limit (e.g. 21 ballots of 3 kinds) stay exhaustive.  With the
-    ballots sorted kind by kind, each split is one mask of a prefix per kind.
+    the labeled limit (e.g. 21 ballots of 3 kinds) stay exhaustive.  A split
+    is a position of one walk over the kinds (:func:`_walk_columns`), each
+    digit the number of one kind's ballots part 1 takes.  The kinds are
+    sorted and walked last first, so positions count in ``product`` order over
+    the sorted kinds, which puts each split's mirror image at the mirrored
+    position: the first half, less the empty split at 0, holds every split
+    once.
     """
     method_scale("mj3", election.scale)  # partitions are decided by the mj3 key
     vectors = _ballot_vectors(election, ballots)
     if len(vectors) < 2:
         raise VoteError("partition check needs at least two ballots")
-    kinds = sorted(Counter(vectors).items())
-    offsets = accumulate((m for _, m in kinds), initial=0)
-    prefixes = [[((1 << t) - 1) << at for t in range(m + 1)]
-                for (_, m), at in zip(kinds, offsets)]
-    # product order puts each split's mirror image at the mirrored position:
-    # the first half, less the empty split at 0, holds every split once
-    positions = prod(m + 1 for _, m in kinds)
-    splits = map(sum, islice(product(*prefixes), 1, (positions + 1) // 2))
-    by_kind = [vec for vec, m in kinds for _ in range(m)]
-    return _check_masks(election, by_kind, splits, sampled=False)
+    kinds = sorted(Counter(vectors).items(), reverse=True)
+    copies = tuple(m for _, m in kinds)
+    walk = _Walk(copies, range(1, (prod(m + 1 for m in copies) + 1) // 2))
+    return _check_masks(election, [vec for vec, _ in kinds], walk, sampled=False)
 
 
 def random_consistency_sweep(

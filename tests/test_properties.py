@@ -7,7 +7,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 from operator import itemgetter, sub
 
 import pytest
@@ -854,11 +854,28 @@ def test_kernel_violations_match_the_reference_without_the_sign_filter(monkeypat
     assert min(violations.values()) > 0, violations
 
 
+def _walk_masks(kinds, walk) -> Iterator[int]:
+    """The bitmask of each position of ``walk`` over the ballots sorted kind
+    by kind: digit ``k`` of a position, least significant first, is how many
+    ballots of kind ``kinds[k]`` part 1 takes, a prefix of that kind's bits."""
+    ordered = sorted(zip(kinds, walk.copies))
+    offsets = dict(zip((vec for vec, _ in ordered),
+                       accumulate((m for _, m in ordered), initial=0)))
+    for position in walk.positions:
+        mask = 0
+        for vec, m in zip(kinds, walk.copies):
+            position, taken = divmod(position, m + 1)
+            mask |= ((1 << taken) - 1) << offsets[vec]
+        yield mask
+
+
 def test_split_masks_match_the_reference_generator(monkeypatch):
+    # the split check walks positions over kinds, not masks: each position
+    # is read back as the mask of the ballots it puts in part 1
     seen = []
     monkeypatch.setattr(
         properties, "_check_masks",
-        lambda election, vectors, masks, sampled: seen.append(list(masks)),
+        lambda election, kinds, walk, sampled: seen.append(list(_walk_masks(kinds, walk))),
     )
     candidates = [Candidate(f"c{i + 1}") for i in range(3)]
     kinds = list(product(range(3), repeat=3))  # sorted, as the check sorts them
@@ -978,6 +995,59 @@ def test_sign_tables_follow_the_recount_rule():
                 s1 = score3(Tally3(p, n - tp - tq, q)).s
                 s2 = score3(Tally3(tp - p, 0, tq - q)).s
                 assert ok[p * side + q] == (s1 * s2 >= 0), (n, tp, tq, p, q)
+
+
+def test_sign_kept_part_keys_add_up_to_the_key_of_the_totals():
+    # the lemma _check_masks rests on: once no strict sign switch is left,
+    # the packed keys of the two parts add exactly, k1 + k2 == key(totals)
+    kept = 0
+    for n in range(17):
+        for tp, tq in ((tp, tq) for tp in range(n + 1) for tq in range(n + 1 - tp)):
+            (total,) = properties._part_keys(n, [(tp, 0, tq)])
+            for p, q in product(range(tp + 1), range(tq + 1)):
+                k1, k2 = properties._part_keys(n, [(p, 0, q), (tp - p, 0, tq - q)])
+                if k1 * k2 >= 0:
+                    assert k1 + k2 == total, (n, tp, tq, p, q)
+                    kept += 1
+    assert kept == 11_205  # of the 20,349 part-tally pairs
+
+
+def test_reach_keys_cover_exactly_the_reachable_part_tallies():
+    for n, most_p, most_q in ((0, 0, 0), (7, 3, 4), (12, 12, 0), (16, 5, 9)):
+        table, back = properties._reach_keys(n, most_p, most_q)
+        pairs = list(product(range(most_p + 1), range(most_q + 1)))
+        assert table == tuple(properties._part_keys(n, [(p, 0, q) for p, q in pairs]))
+        assert back == table[::-1]
+        # index j of the reverse holds the key of the other part
+        for j, (p, q) in enumerate(pairs):
+            assert back[j] == properties._part_keys(n, [(most_p - p, 0, most_q - q)])[0]
+        assert properties._reach_keys(n, most_p, most_q)[0] is table  # cached
+
+
+@pytest.mark.parametrize("multiplicities, hits", [((20_000,), 10_000), ((300, 299), 44_850)])
+def test_large_kinds_are_walked_in_chunks(monkeypatch, multiplicities, hits):
+    # a kind with more than _BLOCK ballots is walked a chunk of its digit
+    # range at a time, never one position per block
+    sizes = []
+    walk_columns = properties._walk_columns
+
+    def spy(*args):
+        for block in walk_columns(*args):
+            sizes.append(block[0])
+            yield block
+
+    monkeypatch.setattr(properties, "_walk_columns", spy)
+    kinds = [{"a": "positive", "b": "negative"}, {"a": "neutral", "b": "negative"}]
+    election, ballots = _election(
+        [kind for kind, m in zip(kinds, multiplicities) for _ in range(m)])
+    report = check_consistency_splits(election, ballots)
+    splits = (prod(m + 1 for m in multiplicities) + 1) // 2 - 1
+    assert report.n_partitions_checked == sum(sizes) == splits
+    assert max(sizes) <= properties._BLOCK
+    assert len(sizes) <= splits // (properties._BLOCK // 2) + 1
+    # a tops both parts of every split, and its two scores are both non-zero
+    # unless part 1 takes no ballot of the first kind (299 splits of the second)
+    assert report.ok and report.n_premise_satisfied == hits
 
 
 def _sign_survivors(vectors, masks):
