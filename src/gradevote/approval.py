@@ -22,12 +22,12 @@ Candidates fall into three blocks:
 The final order puts the whole STRONG_MAJORITY block first, sorted by
 ``a_strong`` (ties by ``a_any``); remaining candidates follow, sorted by
 ``a_any`` (ties by ``a_strong``).  Only non-negative counts ever appear in
-results.
+results.  :class:`ApprovalTally` is a frozen record
+(:func:`gradevote.core.record`) that refuses a negative count.
 """
 
-from dataclasses import dataclass
 
-from .core import ConfigError, ElectionProfile, GradeProfile, VoteError
+from .core import ConfigError, ElectionProfile, GradeProfile, VoteError, record
 from .results import (  # APPROVAL_SCALE is re-exported from here too
     APPROVAL_SCALE,
     Block,
@@ -37,7 +37,7 @@ from .results import (  # APPROVAL_SCALE is re-exported from here too
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ApprovalTally:
     """Approval counts of one candidate."""
 

@@ -46,6 +46,11 @@ for the passes up to that check on top of the CSV reader.
 :func:`count_bracket_ballots` counts a bracket document the same way: one
 whose columns prove every entry valid is counted from them, and any other is
 read entry by entry.
+
+:class:`ElectionConfig` and :class:`ParseIssue` are frozen records
+(:func:`gradevote.core.record`); the config checks its method, scale and
+limit when it is built.  :class:`ParseReport` is a mutable record that the
+readers fill in.
 """
 
 import csv
@@ -55,7 +60,6 @@ import json
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
 from operator import attrgetter, itemgetter, not_
 from pathlib import Path
@@ -72,6 +76,8 @@ from .core import (
     ValidationError,
     VoteError,
     build_profiles,
+    factory,
+    record,
 )
 from .methods import RANKERS, method_scale
 from .results import Block, RankedEntry, RankedResult
@@ -90,7 +96,7 @@ REJECTED_BANNER = "ballot rejected: no candidate reached majority approval"
 # election configuration
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ElectionConfig:
     """Everything needed to reproduce one tally."""
 
@@ -193,7 +199,7 @@ def config_to_json(config: ElectionConfig) -> str:
 # ballot parsing
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParseIssue:
     """One rejected row/entry and why.  ``grade_only`` marks one grade dropped
     from a JSON grade entry whose other grades still count."""
@@ -204,14 +210,14 @@ class ParseIssue:
     grade_only: bool = False
 
 
-@dataclass
+@record
 class ParseReport:
     """What happened while reading a ballot file."""
 
     n_rows: int = 0
     n_ballots: int = 0
-    issues: list[ParseIssue] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    issues: list[ParseIssue] = factory(list)
+    notes: list[str] = factory(list)
 
     @property
     def ok(self) -> bool:

@@ -17,20 +17,21 @@ Rejecting voters' half marks count like everyone else's — the whole ballot is
 filled in before anyone knows whether it is accepted.
 
 The tree is enumerated in preorder (node, upper subtree, lower subtree), and
-ballot half-marks are aligned with that enumeration.
+ballot half-marks are aligned with that enumeration.  Nodes, ballots, node
+decisions and results are frozen records (:func:`gradevote.core.record`); a
+ballot refuses a half mark other than ``upper`` and ``lower``.
 """
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
-from .core import Candidate, ValidationError, VoteError
+from .core import Candidate, ValidationError, VoteError, record
 
 UPPER = "upper"
 LOWER = "lower"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BracketNode:
     """One internal node: a candidate span split into its two halves."""
 
@@ -63,7 +64,7 @@ def bracket_tree(candidate_ids: Sequence[str]) -> tuple[BracketNode, ...]:
     return tuple(nodes)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BracketBallot:
     """One voter's bracket ballot.
 
@@ -89,7 +90,7 @@ class BracketBallot:
         return 1 + len(self.half_choices)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NodeDecision:
     """The tallied outcome at one node of the winning path."""
 
@@ -108,7 +109,7 @@ class NodeDecision:
         return self.node.lower if self.chosen == UPPER else self.node.upper
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BracketResult:
     """Outcome of a bracket election."""
 

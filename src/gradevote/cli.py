@@ -9,15 +9,15 @@ Three verbs:
 * ``gradevote demo``  — tally a built-in fixture and optionally write its
   config and ballot files for further experiments.
 
-Exit codes: 0 success, 1 validation failure (or standard output closed
-early), 2 configuration error, 3 property violation found by ``check``.
+Exit codes: 0 success, 1 validation failure (also standard input closed,
+standard output closed, closed early or full, or an ``--outdir`` that cannot
+be written), 2 configuration error, 3 property violation found by ``check``.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .approval import approval_rank, borderline_candidates
@@ -33,7 +33,7 @@ from .ballot_io import (
     render_bracket,
     render_result,
 )
-from .core import ConfigError, VoteError, build_profiles
+from .core import ConfigError, ValidationError, VoteError, build_profiles
 from .methods import RANKERS
 
 
@@ -109,7 +109,10 @@ def _resolve_config(args: argparse.Namespace) -> ElectionConfig:
     if args.config:
         config = load_config(args.config)
         if args.method and args.method != config.method:
-            config = replace(config, method=args.method)
+            # rebuilt from its fields, so the scale is checked for the new method
+            config = ElectionConfig(
+                args.method, config.scale, config.candidates, config.limit, config.seed
+            )
         return config
     if not args.method:
         raise ConfigError("pass --config or --method")
@@ -121,6 +124,8 @@ def _ballot_source(args: argparse.Namespace):
         raise ConfigError("pass --ballots (a CSV/JSON file, or '-' for stdin)")
     if args.ballots != "-":
         return args.ballots
+    if sys.stdin is None:  # fd 0 was closed when the process started
+        raise ValidationError("cannot read standard input: it is closed")
     if hasattr(sys.stdin, "reconfigure"):  # keep line ends, as from a path
         sys.stdin.reconfigure(newline="")
     return sys.stdin
@@ -157,14 +162,31 @@ def _stderr(line: str) -> None:
 
 
 def _emit(text: str) -> None:
-    """Write a rendered document to standard output in pieces of 8 KiB.
+    """Write a rendered document to standard output in pieces of 8 KiB, and
+    flush it.
 
     One large write to a full pipe can come out silently truncated when a
     signal handler interrupts it (seen with CPython 3.11 under an interval
-    timer); writes that fit the stream's buffer do not.
+    timer); writes that fit the stream's buffer do not.  With fd 1 closed,
+    or a write that fails for another reason than a closed pipe (a full
+    disk, say), it raises :class:`VoteError`.
     """
-    for start in range(0, len(text), 8192):
-        sys.stdout.write(text[start:start + 8192])
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        raise VoteError("cannot write standard output: it is closed")
+    try:
+        for start in range(0, len(text), 8192):
+            sys.stdout.write(text[start:start + 8192])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _drop_stdout()
+        raise VoteError(f"cannot write standard output: {exc.strerror or exc}") from None
+
+
+def _drop_stdout() -> None:
+    """Point fd 1 at devnull, so that the flush at exit stays quiet."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_tally(args: argparse.Namespace) -> int:
@@ -379,9 +401,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from .fixtures import FIXTURES, load_fixture, render_fixture, write_wire_files
 
     if not args.name:
+        lines = []
         for name in FIXTURES:
             fixture = load_fixture(name)
-            print(f"{name:13s} {fixture.method:10s} {fixture.notes}")
+            lines.append(f"{name:13s} {fixture.method:10s} {fixture.notes}\n")
+        _emit("".join(lines))
         return 0
     try:
         fixture = load_fixture(args.name)
@@ -390,7 +414,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     _emit(render_fixture(fixture, args.format))
 
     if args.outdir:
-        for path in write_wire_files(fixture, Path(args.outdir)):
+        try:
+            paths = write_wire_files(fixture, Path(args.outdir))
+        except OSError as exc:
+            raise VoteError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
+        for path in paths:
             _stderr(f"wrote {path}")
     return 0
 
@@ -400,9 +428,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         status = args.func(args)
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader has gone: devnull keeps the flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader has gone
+        _drop_stdout()
         return 1
     except ConfigError as exc:
         _stderr(f"error: {exc}")

@@ -4,10 +4,14 @@ An election is a grade scale (ordered labels, best first), a registered
 candidate list, and a pile of ballots.  A ballot maps candidate ids to grade
 labels and may omit candidates; omitted candidates receive the worst grade at
 tally time, so voters only ever write down approvals.
+
+Every value type of the package is a *record*: a class whose ``__init__``,
+``==``, ``repr`` and, when frozen, ``hash`` :func:`record` generates from its
+annotated fields, as the standard library's data classes do, but without
+loading that module (and ``inspect``, which it imports) into every process.
 """
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 
 
 class VoteError(Exception):
@@ -22,7 +26,70 @@ class ConfigError(VoteError):
     """Election setup is unusable (bad scale, wrong method/scale pairing)."""
 
 
-@dataclass(frozen=True)
+class FrozenRecordError(AttributeError):
+    """An attempt to set or delete an attribute of a frozen record."""
+
+
+class factory:
+    """A record field's default that is made anew for each instance, as
+    ``make()``: ``issues: list = factory(list)``."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+
+def record(cls=None, *, frozen: bool = False):
+    """Class decorator: generate ``cls``'s methods from its annotated fields.
+
+    ``__init__`` takes the fields in order, with their class-level defaults,
+    and calls ``__post_init__`` if the class has one; ``==`` compares the
+    tuples of field values of two instances of the same class, and ``repr``
+    shows them.  A frozen record hashes as that tuple and refuses to set or
+    delete an attribute; a mutable one is unhashable.  ``__init__``, ``==``
+    and the hash are compiled by one ``exec`` per class, so that they run
+    as fast as hand-written methods; the rest is shared by all records.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    # the globals of the methods: each default as _d_<field>, and _set
+    namespace = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = [f"{n}=_d_{n}" if f"_d_{n}" in namespace else n for n in names]
+    lines = [f"def __init__(self, {', '.join(params)}):"]
+    for n in names:
+        if isinstance(namespace.get(f"_d_{n}"), factory):
+            lines.append(f" if {n} is _d_{n}: {n} = _d_{n}.make()")
+        lines.append(f" _set(self, {n!r}, {n})" if frozen else f" self.{n} = {n}")
+    if hasattr(cls, "__post_init__"):
+        lines.append(" self.__post_init__()")
+    mine, theirs = (f"({''.join(f'{who}.{n}, ' for n in names)})" for who in ("self", "other"))
+    lines += ["def __eq__(self, other):", " if other.__class__ is self.__class__:",
+              f"  return {mine} == {theirs}", " return NotImplemented",
+              f"def __hash__(self): return hash({mine})"]
+    namespace["_set"] = object.__setattr__
+    exec("\n".join(lines), namespace)
+    cls._record_fields = names
+    cls.__init__, cls.__eq__, cls.__repr__ = namespace["__init__"], namespace["__eq__"], _repr
+    cls.__hash__ = namespace["__hash__"] if frozen else None
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
+    return cls
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._record_fields)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _refuse_set(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+@record(frozen=True)
 class GradeScale:
     """An ordered grade scale.  ``labels[0]`` is the best grade, the last the worst."""
 
@@ -56,7 +123,7 @@ class GradeScale:
             raise ValidationError(f"unknown grade label {label!r}") from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Candidate:
     """A registered candidate.  ``id`` is the key used on ballots."""
 
@@ -72,7 +139,7 @@ class Candidate:
             object.__setattr__(self, "name", self.id)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ballot:
     """One voter's graded ballot.
 
@@ -82,7 +149,7 @@ class Ballot:
     """
 
     voter_id: str
-    grades: Mapping[str, str] = field(default_factory=dict)
+    grades: Mapping[str, str] = factory(dict)
 
     def grade_index(self, candidate_id: str, scale: GradeScale) -> int:
         """The graded (or completed) position of ``candidate_id`` on ``scale``."""
@@ -90,7 +157,7 @@ class Ballot:
         return scale.size - 1 if label is None else scale.index(label)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradeProfile:
     """Per-candidate tally: how many ballots gave each grade (best grade first)."""
 
@@ -107,7 +174,7 @@ class GradeProfile:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ElectionProfile:
     """All per-candidate grade profiles of one election, in registration order."""
 

@@ -14,9 +14,10 @@ Four small scenarios exercise every method and every interesting behaviour:
 * ``bracket-bias`` — seven candidates, five voters with sincere bracket
   ballots; the candidate who beats every other head to head sits in the
   smaller half and is eliminated at the first split.
+
+A :class:`Fixture` is a frozen record (:func:`gradevote.core.record`).
 """
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .approval import APPROVAL_SCALE
@@ -29,14 +30,14 @@ from .ballot_io import (
     render_result,
 )
 from .bracket import BracketBallot, bracket_elect, sincere_ballot
-from .core import Ballot, Candidate, GradeScale, build_profiles
+from .core import Ballot, Candidate, GradeScale, build_profiles, record
 from .methods import RANKERS
 from .mj3 import MJ3_SCALE
 
 SCHOOL_SCALE = GradeScale(("Cool!", "Nice", "Ok", "Help, no!"))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fixture:
     """A ready-to-run election: config-level data plus ballots."""
 
@@ -44,8 +45,8 @@ class Fixture:
     method: str
     scale: GradeScale | None
     candidates: tuple[Candidate, ...]
-    ballots: tuple[Ballot, ...] = field(default_factory=tuple)
-    bracket_ballots: tuple[BracketBallot, ...] = field(default_factory=tuple)
+    ballots: tuple[Ballot, ...] = ()
+    bracket_ballots: tuple[BracketBallot, ...] = ()
     notes: str = ""
 
 

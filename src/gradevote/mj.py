@@ -20,18 +20,19 @@ O(grades) per candidate whatever the electorate size:
 
 Candidates whose removal sequences are exhausted while still identical — i.e.
 with fully identical grade profiles — are reported as a tie group.
+
+:class:`MajorityGrade` is a frozen record (:func:`gradevote.core.record`).
 """
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import ElectionProfile, GradeProfile, GradeScale, VoteError
+from .core import ElectionProfile, GradeProfile, GradeScale, VoteError, record
 from .results import RankedResult, ranked
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MajorityGrade:
     """A majority grade as scale position (0 = best) plus its label."""
 

@@ -16,19 +16,21 @@ have fully identical tallies, so ``(s, t)`` ties are genuine ties.
 used for diagnostics — vote difference over the electorate, over the number of
 non-neutral votes, and over the number of neutral votes — as exact rationals,
 with ``None`` marking an undefined value (zero denominator).
+
+:class:`Tally3`, :class:`ScorePair` and :class:`AltScores` are frozen records
+(:func:`gradevote.core.record`); a tally refuses a negative count.
 """
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import ConfigError, ElectionProfile, GradeProfile, VoteError
+from .core import ConfigError, ElectionProfile, GradeProfile, VoteError, record
 from .results import MJ3_SCALE, RankedResult, Tallies, ranked  # MJ3_SCALE re-exported
 
 if TYPE_CHECKING:  # alt_scores imports it when called, so a tally never loads it
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tally3:
     """Vote counts of one candidate on a three-grade scale."""
 
@@ -53,7 +55,7 @@ class Tally3:
         return cls(*profile.counts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScorePair:
     """Primary score and tie-break value of one candidate."""
 
@@ -61,7 +63,7 @@ class ScorePair:
     t: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AltScores:
     """Alternative diagnostic scores; ``None`` marks an undefined value."""
 

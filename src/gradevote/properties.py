@@ -53,12 +53,14 @@ report holds counts and violations only, no record per premise hit.
 :func:`search_cross_method_disagreements` finds, once per electorate size,
 the tally pairs whose two sort keys compare differently, and ranks only the
 elections that hold one; the full rankers remain its test oracle.
+The reports are records (:func:`gradevote.core.record`): a search's report is
+mutable and holds its lists, and each counterexample, violation, shift or
+deviation in it is frozen.
 """
 
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, islice, product, repeat
 from math import prod
@@ -74,6 +76,8 @@ from .core import (
     ValidationError,
     VoteError,
     build_profiles,
+    factory,
+    record,
 )
 from .methods import KEYS, method_scale, resolve_method
 from .mj3 import MJ3_SCALE, mj3_keys
@@ -292,7 +296,7 @@ class NoUniqueWinnerError(VoteError):
     premise has no winner to hold the parts to."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConsistencyViolation:
     """A premise-satisfying partition whose combined election disagrees."""
 
@@ -303,7 +307,7 @@ class ConsistencyViolation:
     s_part2: int
 
 
-@dataclass
+@record
 class PartitionCheckReport:
     """Outcome of one consistency check over a family of partitions: how many
     were checked and met the premise, and the violations in the order the
@@ -312,7 +316,7 @@ class PartitionCheckReport:
     n_ballots: int
     n_partitions_checked: int = 0
     n_premise_satisfied: int = 0
-    violations: list[ConsistencyViolation] = field(default_factory=list)
+    violations: list[ConsistencyViolation] = factory(list)
     sampled: bool = False
 
     @property
@@ -743,7 +747,7 @@ def random_consistency_sweep(
 # participation (no-show) search
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoShowCounterexample:
     """A ballot whose participation hurts its own grading.
 
@@ -850,13 +854,13 @@ def search_no_show(
     return additions + removals
 
 
-@dataclass
+@record
 class NoShowSweepReport:
     """Aggregate of an exhaustive addition-form no-show search."""
 
     n_instances: int
     n_additions_checked: int
-    counterexamples: list[NoShowCounterexample] = field(default_factory=list)
+    counterexamples: list[NoShowCounterexample] = factory(list)
 
     @property
     def ok(self) -> bool:
@@ -906,12 +910,12 @@ def search_no_show_exhaustive(
 # cross-method agreement of the two 3-grade formulations
 # --------------------------------------------------------------------------
 
-@dataclass
+@record
 class CrossMethodReport:
     """Exhaustive comparison of the score form against iterated tie-break."""
 
     n_instances: int
-    disagreements: list[str] = field(default_factory=list)
+    disagreements: list[str] = factory(list)
 
     @property
     def ok(self) -> bool:
@@ -992,7 +996,7 @@ def search_cross_method_disagreements(
 # polarization shifts
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolarizationShift:
     """A symmetric shift of ``x`` weak approvals each way."""
 
@@ -1054,7 +1058,7 @@ def polarization_sweep(
 # single-voter manipulation probe (informational)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Deviation:
     """One alternative ballot and the winner it produces."""
 
@@ -1062,14 +1066,14 @@ class Deviation:
     winner: str
 
 
-@dataclass
+@record
 class ManipulationReport:
     """Deviations that improve the outcome by the voter's own honest grading."""
 
     voter_id: str
     honest_winner: str | None
     n_alternatives: int
-    improving: list[Deviation] = field(default_factory=list)
+    improving: list[Deviation] = factory(list)
 
 
 def manipulation_probe(

@@ -13,14 +13,15 @@ that equal keys keep registration order; ranks and tie groups are the runs of
 equal keys.  ``gradevote.methods.KEYS`` holds the same key functions, so the
 harness can decide outcomes from keys alone.  The builder first checks the
 scale by :func:`method_scale`, the one rule for the scale each method ranks,
-which the config loader and the harness share.
+which the config loader and the harness share.  :class:`RankedEntry`,
+:class:`RankedResult` and :class:`Outcome` are frozen records
+(:func:`gradevote.core.record`): equal by value, and hashable.
 """
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import ConfigError, ElectionProfile, GradeScale, VoteError
+from .core import ConfigError, ElectionProfile, GradeScale, VoteError, record
 
 #: Per-candidate counts, best grade first, in registration order.
 Tallies = Sequence[Sequence[int]]
@@ -57,7 +58,7 @@ class Block(Enum):
     UNELECTABLE = "unelectable"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RankedEntry:
     """One row of a ranking.
 
@@ -77,7 +78,7 @@ class RankedEntry:
     tiebreak: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RankedResult:
     """Final ranking of one election.
 
@@ -91,7 +92,7 @@ class RankedResult:
     scale: GradeScale
     n_voters: int
     entries: tuple[RankedEntry, ...]
-    tie_groups: tuple[tuple[str, ...], ...] = field(default_factory=tuple)
+    tie_groups: tuple[tuple[str, ...], ...] = ()
     rejected: bool = False
 
     @property
@@ -105,7 +106,7 @@ class RankedResult:
         return outcome_of(self).winner
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Outcome:
     """The decision of one tally: a unique winner, a rank-1 tie, or rejection."""
 

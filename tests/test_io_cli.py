@@ -447,6 +447,14 @@ def test_cli_demo_unknown_fixture(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_demo_refuses_an_outdir_under_a_file(tmp_path, capsys):
+    # before, a NotADirectoryError traceback out of write_wire_files
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["demo", "smalltown", "--outdir", str(blocker / "x")]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {blocker / 'x'}: Not a directory\n"
+
+
 def test_cli_tally_from_written_fixture(tmp_path, capsys):
     config, ballots = _write_fixture(tmp_path, "smalltown")
     capsys.readouterr()
@@ -489,6 +497,13 @@ def test_cli_tally_reads_stdin(monkeypatch, capsys):
     assert rc == 0
     document = json.loads(capsys.readouterr().out)
     assert document["entries"][0]["candidate"] == "a"
+
+
+def test_cli_tally_refuses_a_closed_stdin(monkeypatch, capsys):
+    # with fd 0 closed at start-up sys.stdin is None; before, a TypeError traceback
+    monkeypatch.setattr("sys.stdin", None)
+    assert main(["tally", "--method", "mj3", "--ballots", "-"]) == 1
+    assert capsys.readouterr() == ("", "error: cannot read standard input: it is closed\n")
 
 
 def test_cli_config_errors(tmp_path, capsys):

@@ -73,20 +73,36 @@ def test_tally_loads_neither_the_harness_nor_the_fixtures(tmp_path):
     assert "gradevote.fixtures" not in loaded
 
 
-@pytest.mark.parametrize("command", ["tally", "check"])
-def test_grade_commands_never_load_the_bracket_module(command, tmp_path):
+def _loaded_by(command, tmp_path, loaded=_LOADED):
+    """The modules, as ``loaded`` lists them, that ``main([command, ...])``
+    leaves loaded after running a one-ballot mj3 election."""
     (tmp_path / "c.json").write_text('{"method": "mj3", "candidates": [{"id": "a"}]}')
     (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\n")
-    loaded = _fresh(
+    return _fresh(
         "import io, json, sys\nfrom contextlib import redirect_stdout\n"
         "from gradevote.cli import main\n"
         "with redirect_stdout(io.StringIO()):\n"
         f"    code = main([{command!r}, '--config', {str(tmp_path / 'c.json')!r}, "
         f"'--ballots', {str(tmp_path / 'b.csv')!r}])\n"
-        f"assert code == 0\nprint({_LOADED})"
+        f"assert code == 0\nprint({loaded})"
     )
+
+
+@pytest.mark.parametrize("command", ["tally", "check"])
+def test_grade_commands_never_load_the_bracket_module(command, tmp_path):
+    loaded = _loaded_by(command, tmp_path)
     assert "gradevote.ballot_io" in loaded
     assert "gradevote.bracket" not in loaded
+
+
+@pytest.mark.parametrize("command", ["tally", "check"])
+def test_grade_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
+    # records are built by gradevote.core.record; the two modules cost a
+    # start-up paid by every tally and every check
+    loaded = _loaded_by(command, tmp_path, "json.dumps(sorted(sys.modules))")
+    assert "gradevote.ballot_io" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 def test_star_import_gives_every_public_name_from_its_module():

@@ -83,6 +83,26 @@ def test_cli_exits_quietly_on_a_closed_pipe(unbuffered):
     assert _with_closed_stdout(args, unbuffered) == (1, "")
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("stdout, reason", [
+    ("closed", "it is closed"), ("full", "No space left on device"),
+], ids=["closed", "full"])
+def test_cli_reports_a_stdout_it_cannot_write(tmp_path, stdout, reason, unbuffered):
+    # before, a traceback: AttributeError on a closed fd 1, OSError on a full one
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\n")
+    target = {"closed": lambda: os.close(1),
+              "full": lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 1)}[stdout]
+    child = subprocess.run(
+        [sys.executable, "-m", "gradevote.cli", "tally", "--method", "mj3",
+         "--ballots", "b.csv"], cwd=tmp_path, env=_child_env(PYTHONUNBUFFERED=unbuffered),
+        stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=target,
+    )
+    assert (child.returncode, child.stderr) == (
+        1, f"error: cannot write standard output: {reason}\n")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_render_fixtures_script_prints_what_demo_prints(capsys, fmt):
     expected = []
