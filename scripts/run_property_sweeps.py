@@ -12,7 +12,8 @@ choose, and prints one summary line per sweep:
 Exit status is 0 when every sweep comes back clean and 3 when any violation
 is found, mirroring `gradevote check`, and 2 for an argument that would
 leave a sweep with nothing to check.  If standard output is closed early
-(say, by `| head -1`), the script stops without a traceback and exits 1.
+(say, by `| head -1`), the script stops without a traceback and exits 1; if
+it cannot be written (a full disk, say), it exits 1 with one `error:` line.
 """
 
 import argparse
@@ -59,10 +60,13 @@ def main(argv=None):
     try:
         status = _sweeps(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone: point stdout at devnull, so the flush at exit
-        # does not fail again (the recipe in the `signal` module's docs)
+    except OSError as exc:
+        # point stdout at devnull, so the flush at exit does not fail again
+        # (the recipe in the `signal` module's docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # the reader has not just gone
+            print(f"error: cannot write standard output: {exc.strerror or exc}",
+                  file=sys.stderr)
         return 1
     return status
 

@@ -43,13 +43,13 @@ _EXPORTS = {
     "mj3": ("AltScores", "ScorePair", "Tally3", "alt_scores", "mj3_rank", "score3"),
     "properties": (
         "ConsistencyViolation", "CrossMethodReport", "ManipulationReport",
-        "NoShowCounterexample", "NoShowSweepReport", "Outcome", "PartitionCheckReport",
+        "NoShowCounterexample", "NoShowSweepReport", "PartitionCheckReport",
         "PolarizationShift", "check_consistency", "check_consistency_splits",
-        "manipulation_probe", "outcome_from_counts", "outcome_of", "polarization_sweep",
-        "polarize", "random_consistency_sweep", "search_cross_method_disagreements",
-        "search_no_show", "search_no_show_exhaustive",
+        "manipulation_probe", "outcome_from_counts", "polarization_sweep", "polarize",
+        "random_consistency_sweep", "search_cross_method_disagreements", "search_no_show",
+        "search_no_show_exhaustive",
     ),
-    "results": ("Block", "RankedEntry", "RankedResult"),
+    "results": ("Block", "Outcome", "RankedEntry", "RankedResult", "outcome_of"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -519,13 +519,16 @@ def _parse_ballots_json(
             )
             continue
         voter = entry["voter_id"]
+        if not voter:
+            report.issues.append(ParseIssue(index, None, "empty voter_id"))
+            continue
         if voter in seen:
             report.issues.append(ParseIssue(index, voter, "duplicate voter_id"))
             continue
         seen.add(voter)
         kept: dict[str, str] = {}
         for cid, grade in entry.get("grades", {}).items():
-            if infer and cid not in roster:
+            if infer and cid and cid not in roster:
                 roster[cid] = Candidate(cid)
             if cid not in roster:
                 report.issues.append(
@@ -637,7 +640,7 @@ def _count_bracket_columns(
         )
     except KeyError:
         return None
-    if (set(map(type, voters)) != {str} or len(set(voters)) != len(voters)
+    if (set(map(type, voters)) != {str} or len(set(voters)) != len(voters) or "" in voters
             or set(map(type, accepts)) != {bool} or set(map(type, choices)) != {list}):
         return None
     try:
@@ -664,6 +667,9 @@ def _parse_bracket_entries(
             report.issues.append(ParseIssue(index, None, "entry needs 'voter_id'"))
             continue
         voter = entry["voter_id"]
+        if not voter:
+            report.issues.append(ParseIssue(index, None, "empty voter_id"))
+            continue
         if voter in seen:
             report.issues.append(ParseIssue(index, voter, "duplicate voter_id"))
             continue

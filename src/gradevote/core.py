@@ -12,6 +12,7 @@ loading that module (and ``inspect``, which it imports) into every process.
 """
 
 from collections.abc import Iterable, Mapping, Sequence
+from operator import index
 
 
 class VoteError(Exception):
@@ -159,13 +160,26 @@ class Ballot:
 
 @record(frozen=True)
 class GradeProfile:
-    """Per-candidate tally: how many ballots gave each grade (best grade first)."""
+    """Per-candidate tally: how many ballots gave each grade (best grade first).
+
+    Each count is an integer, or an int-like such as a NumPy integer, kept as
+    an ``int``; a float, a string or a bool is refused, not rounded.
+    """
 
     candidate: str
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        counts = tuple(self.counts)
+        try:
+            whole = tuple(map(index, counts))
+        except TypeError:
+            whole = None
+        if whole is None or bool in map(type, counts):
+            raise ValidationError(
+                f"counts in profile for {self.candidate!r} must be integers, got {counts!r}"
+            )
+        object.__setattr__(self, "counts", whole)
         if any(c < 0 for c in self.counts):
             raise ValidationError(f"negative count in profile for {self.candidate!r}")
 
@@ -264,12 +278,9 @@ def election_from_counts(
     unknown = [cid for cid in counts_by_id if cid not in known]
     if unknown:
         raise ValidationError(f"counts given for unknown candidates {unknown!r}")
-    totals = {cid: sum(counts_by_id[cid]) for cid in counts_by_id}
-    distinct = set(totals.values())
+    profiles = tuple(GradeProfile(c.id, counts_by_id[c.id]) for c in candidates)
+    distinct = {p.total for p in profiles}
     if len(distinct) > 1:
         raise ValidationError(f"candidate totals differ: {sorted(distinct)!r}")
     n_voters = distinct.pop() if distinct else 0
-    profiles = tuple(
-        GradeProfile(c.id, tuple(counts_by_id[c.id])) for c in candidates
-    )
     return ElectionProfile(scale, candidates, profiles, n_voters)

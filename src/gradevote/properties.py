@@ -35,21 +35,23 @@ ones a search reports are counted from products of those sets.  Vectors are
 listed only from a count that is not zero, and a search that would list
 more than 250,000 raises :class:`OutputCapError` with the exact count.  The
 exhaustive search builds the table once per tally and electorate size.
-Both exhaustive consistency checks walk one little-endian mixed-radix count
-over ballot kinds, with no tally rebuilt per partition: digit ``k`` of a
-position is how many ballots of kind ``k`` part 1 takes.  The labeled check
-walks each ballot as a kind of its own, so a position is its bitmask; the
-split check walks the sorted kinds last first, so positions count in
-``product`` order.  A candidate's part-1 index into a cached table of the
-keys it can reach is a base per block plus a low index built once, and part
-2's is the last index less it, so :func:`_check_masks` decides a block of
-positions by lookups, with no popcount or key computed per position; sampled
-masks are decided by popcounts instead.  Per-candidate sign tables first
-drop every partition where some candidate's score strictly switches sign,
-which can never meet the premise; key columns are built for the rest
-only, a strongest-rival filter keeps the partitions whose parts share a
-unique top, and the premise hits are counted per top over its key columns.  A
-report holds counts and violations only, no record per premise hit.
+Every consistency check hands :func:`_check_masks` the ballot kinds, the
+copies of each, and the partitions.  A ``range`` is walked as one
+little-endian mixed-radix count over the kinds, with no tally rebuilt per
+partition: digit ``k`` of a position is how many ballots of kind ``k`` part 1
+takes.  The labeled check passes each ballot as a kind of one copy, so a
+position is its bitmask; the split check passes the sorted kinds last first,
+so positions count in ``product`` order.  A candidate's part-1 index into a
+cached table of the keys it can reach is a base per block plus a low index
+built once, and part 2's is the last index less it, so a block of positions
+is decided by lookups, with no popcount or key computed per position;
+sampled masks are decided by popcounts instead.  One sign rule
+(:func:`_sign_table`) first drops every partition where some candidate's
+score strictly switches sign, which can never meet the premise; key columns
+are built for the rest only, a strongest-rival filter keeps the partitions
+whose parts share a unique top, and the premise hits are counted per top
+over its key columns.  A report holds counts and violations only, no record
+per premise hit.
 :func:`search_cross_method_disagreements` finds, once per electorate size,
 the tally pairs whose two sort keys compare differently, and ranks only the
 elections that hold one; the full rankers remain its test oracle.
@@ -62,10 +64,9 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from itertools import accumulate, combinations, compress, islice, product, repeat
+from itertools import accumulate, combinations, compress, islice, product
 from math import prod
-from operator import and_, eq, itemgetter, lt, mul, ne
-from typing import NamedTuple
+from operator import itemgetter, ne
 
 from .approval import ApprovalTally, classify_block
 from .core import (
@@ -372,27 +373,12 @@ def _reach_keys(n: int, most_p: int, most_q: int) -> tuple[tuple[int, ...], tupl
     return table, table[::-1]
 
 
-def _popcounts(bits: int, masks: Iterable[int]) -> list[int]:
-    """How many of ``bits`` each mask has set."""
-    return list(map(int.bit_count, map(bits.__and__, masks)))
-
-
-def _sign_table(table: Sequence[int], end: int) -> list[bool]:
-    """``ok[j]`` for each part-1 index ``j <= end`` of a candidate whose
-    totals sit at index ``end`` of the key list ``table``: whether the keys of
-    part 1 and of part 2 (index ``end - j``) keep their sign, that is, have no
-    strict sign switch.  A key's sign is minus its score's."""
-    # a whole-tuple slice is the tuple itself: a cached table is not copied
-    return list(map((0).__le__, map(mul, table, reversed(table[:end + 1]))))
-
-
-class _Walk(NamedTuple):
-    """Positions of a little-endian mixed-radix count over ballot kinds:
-    digit ``k`` of a position, from 0 to ``copies[k]``, is how many ballots
-    of kind ``k`` part 1 takes."""
-
-    copies: tuple[int, ...]
-    positions: range
+def _sign_table(keys1: Iterable[int], keys2: Iterable[int]) -> list[bool]:
+    """Whether each pair of a candidate's part-1 and part-2 keys keeps its
+    sign, that is, has no strict sign switch between the parts.  A key's
+    sign is minus its score's: ``s > 0`` iff ``p > q``, and ``s = 0`` iff
+    ``p = q = 0``."""
+    return [a * b >= 0 for a, b in zip(keys1, keys2)]
 
 
 def _digits(position: int, copies: Sequence[int]) -> list[int]:
@@ -409,33 +395,32 @@ _Columns = Iterator[tuple[int, list[int], list[list[int]], list[list[int]]]]
 
 
 def _walk_columns(
-    kinds: Sequence[tuple[int, ...]], walk: _Walk, totals: list[tuple[int, int, int]], n: int
+    kinds: Sequence[tuple[int, ...]], copies: Sequence[int], positions: range,
+    totals: list[tuple[int, int, int]], n: int,
 ) -> _Columns:
-    """Each block of at most ``_BLOCK`` of ``walk``'s positions over
-    ``kinds``, in order, as its size, the positions of it where no
-    candidate's key strictly switches sign between the parts (a key's sign is
-    minus its score's: ``s > 0`` iff ``p > q``, ``s = 0`` iff ``p = q = 0``),
-    and per candidate a column of part-1 keys and one of part-2 keys for
-    those positions only.
+    """Each block of at most ``_BLOCK`` of ``positions``, in order, as its
+    size, the positions of it where no candidate's key strictly switches sign
+    between the parts (:func:`_sign_table`), and per candidate a column of
+    part-1 keys and one of part-2 keys for those positions only.  A position
+    is one of a little-endian mixed-radix count over ``kinds``: digit ``k``,
+    from 0 to ``copies[k]``, is how many ballots of kind ``k`` part 1 takes.
 
     A candidate with totals ``(P, _, Q)`` has the part-1 index ``j = p * (Q
     + 1) + q`` in its key table (:func:`_reach_keys`), and part 2 the index
     ``e - j`` of its last index ``e``: the table and its reverse give both
-    keys at ``j``, and one sign table per candidate (:func:`_sign_table`)
-    each position's flag.  Each ballot a kind puts in part 1 steps ``j`` by
-    ``Q + 1`` if it grades the candidate positive, by 1 if negative.  A block
-    spans the low digits, whose radices multiply to at most ``_BLOCK``, and a
-    chunk of the next digit, so ``j`` is a base per block plus a low index
-    built once.  The first candidate's flags are looked up over the whole
-    block, each other candidate's only at the positions still kept, and keys
-    at the positions every flag keeps.
+    keys at ``j``, and one sign table per candidate each position's flag.
+    Each ballot a kind puts in part 1 steps ``j`` by ``Q + 1`` if it grades
+    the candidate positive, by 1 if negative.  A block spans the low digits,
+    whose radices multiply to at most ``_BLOCK``, and a chunk of the next
+    digit, so ``j`` is a base per block plus a low index built once.  Each
+    candidate's flags are looked up only at the positions every earlier
+    candidate kept, and keys at the positions every flag keeps.
     """
-    copies = walk.copies
-    start, stop = walk.positions.start, walk.positions.stop
+    start, stop = positions.start, positions.stop
     tables = [_reach_keys(n, p, q) for p, _, q in totals]
-    oks = [_sign_table(table, len(table) - 1) for table, _ in tables]
+    oks = [_sign_table(table, back) for table, back in tables]
     # steps[c][k]: how far each ballot of kind k in part 1 moves c's index
-    steps = [list(map([q + 1, 0, 1].__getitem__, column))
+    steps = [[(q + 1, 0, 1)[g] for g in column]
              for column, (_, _, q) in zip(zip(*kinds), totals)]
     room, cut, width = min(_BLOCK, stop), 0, 1
     for m in copies:
@@ -454,7 +439,6 @@ def _walk_columns(
         lows.append(low)
     # a block is a chunk of digit cut, so its low digits are all 0
     low_width, group, width = width, width * radix, width * chunk
-    getters: dict[int, itemgetter] = {}
     x = start - start % group
     x += (start - x) // width * width
     while x < stop:
@@ -462,51 +446,49 @@ def _walk_columns(
         high = _digits(x // low_width, copies[cut:]) if x else ()
         lo, hi = max(start, x) - x, min(end, stop) - x
         bases = [sum(d * s for d, s in zip(high, col[cut:])) for col in steps]
-        b = bases[0]
-        if hi not in getters:  # a trailing index 0 keeps the getter's result a tuple
-            getters[hi] = itemgetter(*lows[0][:hi], 0)
-        at = list(compress(range(lo, hi), getters[hi](oks[0][b:b + lows[0][-1] + 1])[lo:hi]))
-        for ok, b, low in zip(oks[1:], bases[1:], lows[1:]):
-            if not at:
+        at = range(lo, hi)
+        for ok, b, low in zip(oks, bases, lows):
+            if not (at := [i for i in at if ok[b + low[i]]]):
                 break
-            ok = ok[b:b + low[-1] + 1]
-            at = list(compress(at, map(ok.__getitem__, map(low.__getitem__, at))))
         parts1 = [[b + low[i] for i in at] for b, low in zip(bases, lows)]
         yield (
             hi - lo,
             [x + i for i in at],
-            [list(map(table.__getitem__, js)) for (table, _), js in zip(tables, parts1)],
-            [list(map(back.__getitem__, js)) for (_, back), js in zip(tables, parts1)],
+            [[table[j] for j in js] for (table, _), js in zip(tables, parts1)],
+            [[back[j] for j in js] for (_, back), js in zip(tables, parts1)],
         )
         x = end
 
 
 def _key_columns(
-    masks: Iterable[int], signs: list, totals: list[tuple[int, int, int]], n: int
+    ballots: Sequence[tuple[int, ...]], masks: Iterable[int],
+    totals: list[tuple[int, int, int]], n: int,
 ) -> _Columns:
-    """Each block of at most ``_BLOCK`` masks, in order, as :func:`_walk_columns`
-    gives a block of positions, for masks in any order (sampled ones).
+    """Each block of at most ``_BLOCK`` masks over ``ballots``, in order, as
+    :func:`_walk_columns` gives a block of positions, for masks in any order
+    (sampled ones): bit ``i`` of a mask puts ``ballots[i]`` in part 1.
 
     A part's ``(p, q)`` are popcounts against the candidate's positive and
-    negative ballot bitmasks ``signs``, part 2's are the totals less part 1's,
-    and both parts' keys are counted per block with :func:`_part_keys`, with
-    no table of every index (that would hold ``(n + 1)²`` keys for a large
-    sampled electorate).  A mask is kept by ``k1 * k2 >= 0`` for every
-    candidate.
+    negative ballot bitmasks, part 2's are the totals less part 1's, and both
+    parts' keys are counted per block with :func:`_part_keys`, with no table
+    of every index (that would hold ``(n + 1)²`` keys for a large sampled
+    electorate).
     """
+    signs = [
+        [sum(1 << i for i, vec in enumerate(ballots) if vec[c] == g) for g in (0, 2)]
+        for c in range(len(totals))
+    ]
     masks = iter(masks)
     while block := list(islice(masks, _BLOCK)):
-        ps = [_popcounts(pos, block) for pos, _ in signs]
-        qs = [_popcounts(neg, block) for _, neg in signs]
-        columns1 = [_part_keys(n, zip(p, repeat(0), q)) for p, q in zip(ps, qs)]
-        columns2 = [
-            _part_keys(n, zip(map(tp.__sub__, p), repeat(0), map(tq.__sub__, q)))
-            for p, q, (tp, _, tq) in zip(ps, qs, totals)
-        ]
+        columns1, columns2 = [], []
+        for (pos, neg), (tp, _, tq) in zip(signs, totals):
+            pqs = [((pos & m).bit_count(), (neg & m).bit_count()) for m in block]
+            columns1.append(_part_keys(n, [(p, 0, q) for p, q in pqs]))
+            columns2.append(_part_keys(n, [(tp - p, 0, tq - q) for p, q in pqs]))
         at = range(len(block))
         for k1, k2 in zip(columns1, columns2):
-            ok = list(map((0).__le__, map(mul, k1, k2)))
-            if not (at := list(compress(at, map(ok.__getitem__, at)))):
+            ok = _sign_table(k1, k2)
+            if not (at := [i for i in at if ok[i]]):
                 break
         yield (
             len(block),
@@ -525,66 +507,51 @@ def _unique_tops(
     ``w``'s key columns at them.  ``w``'s rivals are tested strongest first,
     each keeping only the partitions where ``w``'s key is strictly below the
     rival's in both parts."""
-    size = len(keys1[0])
     for w in strongest:
-        at, w1, w2 = range(size), keys1[w], keys2[w]
+        at, w1, w2 = range(len(keys1[w])), keys1[w], keys2[w]
         for r in strongest:
             if r == w:
                 continue
             r1, r2 = keys1[r], keys2[r]
-            if len(at) < size:
-                r1, r2 = map(r1.__getitem__, at), map(r2.__getitem__, at)
-            keep = list(map(and_, map(lt, w1, r1), map(lt, w2, r2)))
-            at = list(compress(at, keep))
-            if not at:
+            if not (at := [i for i in at if w1[i] < r1[i] and w2[i] < r2[i]]):
                 break
-            w1, w2 = list(compress(w1, keep)), list(compress(w2, keep))
         else:
-            yield w, at, w1, w2
+            yield w, at, [w1[i] for i in at], [w2[i] for i in at]
 
 
 def _check_masks(
-    election: ElectionProfile,
-    vectors: Sequence[tuple[int, ...]],
-    masks: Iterable[int] | _Walk,
-    *,
-    sampled: bool,
+    election: ElectionProfile, kinds: Sequence[tuple[int, ...]], copies: Sequence[int],
+    masks: Iterable[int], *, sampled: bool,
 ) -> PartitionCheckReport:
-    """Evaluate the consistency premise over 2-partitions.
+    """Evaluate the consistency premise over 2-partitions of ``copies[k]``
+    ballots of each kind ``kinds[k]``, which together give ``election``'s
+    tallies.
 
-    ``masks`` is a :class:`_Walk` over the kinds ``vectors``, a ``range`` of
-    bitmasks, walked as the kinds of one ballot each (bit ``i`` puts ballot
-    ``vectors[i]`` in part 1, so a position is its mask), or any other
-    bitmasks, decided by popcounts (:func:`_key_columns`).  Either source
-    gives blocks of positions with, per candidate, the ``mj3`` keys of both
-    parts, and drops first every position where some candidate's score
-    strictly switches sign: that breaks score additivity across the parts
-    (positives cancelled inside one part reappear in the union), and with it
-    the consistency guarantee.  On the positions left the packed keys add
-    exactly, ``k1 + k2 == key(totals)``: each candidate's ``(p, q)`` add, a
-    key is ``q - p * span`` where ``p > q`` and ``q * span - p`` elsewhere,
-    both linear, and two parts of one sign take the same form as their totals
-    (a zero key, ``p = q = 0``, is 0 in both).  Keys that add keep any strict
-    order both parts agree on, so a unique top ``w`` of both parts stays
-    below each rival's key in the union too.  Of the positions whose parts
-    share a unique top ``w`` (:func:`_unique_tops`), the premise hits, where
-    ``w``'s two keys are both zero or both not, are counted over ``w``'s key
-    columns.  A hit of a ``w``
-    that is not the combined winner is a violation, listed in position order
-    with part 1's size read from the position's digits (or mask bits).
+    A ``range`` of ``masks`` (step 1) is walked (:func:`_walk_columns`): a
+    position's digit ``k`` is how many ballots of kind ``k`` part 1 takes, so
+    for kinds of one ballot each a position is the bitmask of part 1.  Any
+    other masks, over kinds of one ballot each, are decided by popcounts
+    (:func:`_key_columns`).  Either source gives blocks of positions with,
+    per candidate, the ``mj3`` keys of both parts, and drops first every
+    position where some candidate's score strictly switches sign: that
+    breaks score additivity across the parts (positives cancelled inside one
+    part reappear in the union), and with it the consistency guarantee.  On
+    the positions left the packed keys add exactly, ``k1 + k2 ==
+    key(totals)``: each candidate's ``(p, q)`` add, a key is ``q - p * span``
+    where ``p > q`` and ``q * span - p`` elsewhere, both linear, and two
+    parts of one sign take the same form as their totals (a zero key, ``p =
+    q = 0``, is 0 in both).  Keys that add keep any strict order both parts
+    agree on, so a unique top ``w`` of both parts stays below each rival's
+    key in the union too.  Of the positions whose parts share a unique top
+    ``w`` (:func:`_unique_tops`), the premise hits, where ``w``'s two keys
+    are both zero or both not, are counted over ``w``'s key columns.  A hit
+    of a ``w`` that is not the combined winner is a violation, listed in
+    position order with part 1's size the sum of the position's digits.
     """
     require_rankable(election)
     ids = [c.id for c in election.candidates]
-    if isinstance(masks, range) and masks.step == 1:
-        masks = _Walk((1,) * len(vectors), masks)
-    walked = isinstance(masks, _Walk)
-    copies = masks.copies if walked else (1,) * len(vectors)
     n = sum(copies)
-    totals = [
-        (sum(compress(copies, map((0).__eq__, column))), 0,
-         sum(compress(copies, map((2).__eq__, column))))
-        for column in zip(*vectors)
-    ]
+    totals = [(p.counts[0], 0, p.counts[2]) for p in election.profiles]
     span = 2 * n + 1
     overall = _part_keys(n, totals)
     top = min(overall)
@@ -592,14 +559,10 @@ def _check_masks(
         raise NoUniqueWinnerError("combined election has no unique winner")
     winner = overall.index(top)
     strongest = sorted(range(len(ids)), key=overall.__getitem__)
-    if walked:
-        blocks = _walk_columns(vectors, masks, totals, n)
+    if isinstance(masks, range):
+        blocks = _walk_columns(kinds, copies, masks, totals, n)
     else:
-        signs = [
-            [sum(1 << i for i, vec in enumerate(vectors) if vec[c] == g) for g in (0, 2)]
-            for c in range(len(ids))
-        ]
-        blocks = _key_columns(masks, signs, totals, n)
+        blocks = _key_columns(kinds, masks, totals, n)
     report = PartitionCheckReport(n_ballots=n, sampled=sampled)
     for size, kept, columns1, columns2 in blocks:
         report.n_partitions_checked += size
@@ -609,14 +572,13 @@ def _check_masks(
         for w, at, w1, w2 in _unique_tops(columns1, columns2, strongest):
             # no strict sign switch is left, so w's scores keep their sign
             # unless exactly one of them is zero
-            hits = list(map(eq, map((0).__eq__, w1), map((0).__eq__, w2)))
+            hits = [(k1 == 0) == (k2 == 0) for k1, k2 in zip(w1, w2)]
             report.n_premise_satisfied += hits.count(True)
             if w != winner:
-                found += zip(compress(at, hits), compress(w1, hits),
-                             compress(w2, hits), repeat(w))
+                found += [(i, k1, k2, w) for i, k1, k2, hit in zip(at, w1, w2, hits) if hit]
         found.sort()  # each position has one top, so no tie reaches a key
         for at, k1, k2, w in found:
-            size1 = sum(_digits(kept[at], copies)) if walked else kept[at].bit_count()
+            size1 = sum(_digits(kept[at], copies))
             report.violations.append(
                 ConsistencyViolation(
                     part_sizes=(size1, n - size1),
@@ -662,18 +624,16 @@ def check_consistency(
         )
 
     space = (1 << (n - 1)) - 1
-    if n <= limit or samples >= space:
-        masks: Iterable[int] = range(1, space + 1)
-        sampled = False
-    else:
+    masks: Iterable[int] = range(1, space + 1)
+    sampled = n > limit and samples < space
+    if sampled:
         # distinct masks, so the partitions counted are partitions covered
         rng = random.Random(seed)
         drawn: dict[int, None] = {}
         while len(drawn) < samples:
             drawn.setdefault(rng.randint(1, space))
         masks = drawn
-        sampled = True
-    return _check_masks(election, vectors, masks, sampled=sampled)
+    return _check_masks(election, vectors, (1,) * n, masks, sampled=sampled)
 
 
 def check_consistency_splits(
@@ -698,8 +658,8 @@ def check_consistency_splits(
         raise VoteError("partition check needs at least two ballots")
     kinds = sorted(Counter(vectors).items(), reverse=True)
     copies = tuple(m for _, m in kinds)
-    walk = _Walk(copies, range(1, (prod(m + 1 for m in copies) + 1) // 2))
-    return _check_masks(election, [vec for vec, _ in kinds], walk, sampled=False)
+    positions = range(1, (prod(m + 1 for m in copies) + 1) // 2)
+    return _check_masks(election, [vec for vec, _ in kinds], copies, positions, sampled=False)
 
 
 def random_consistency_sweep(

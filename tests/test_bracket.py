@@ -499,6 +499,19 @@ def test_each_dirty_entry_alone_matches_the_entry_reader(kind, entry, bracket_co
         bracket_configs[3], text, old_path=True)
 
 
+def test_an_empty_voter_id_is_rejected_by_both_bracket_readers():
+    # the columns never prove such a document clean, so both readers give
+    # the same report, as a CSV row with an empty voter_id is rejected
+    candidates = [Candidate("c0"), Candidate("c1")]
+    text = json.dumps([{"voter_id": "", "accept": True, "choices": [UPPER]},
+                       {"voter_id": "v1", "accept": False, "choices": [LOWER]}])
+    counted = _counted(text, candidates)
+    assert counted == _read_entry_by_entry(text, candidates)
+    report = counted[1]
+    assert [(i.row, i.voter, i.reason) for i in report.issues] == [(1, None, "empty voter_id")]
+    assert (report.n_rows, report.n_ballots) == (2, 1)
+
+
 @pytest.mark.parametrize("text", ["[]", "{}", "[", "3", '[{"voter_id": "v1"}]'])
 def test_fixed_bracket_documents_match_the_entry_reader(text, bracket_configs):
     candidates = [Candidate("c0"), Candidate("c1")]

@@ -7,6 +7,7 @@ from gradevote import (
     Ballot,
     Candidate,
     ConfigError,
+    GradeProfile,
     GradeScale,
     ValidationError,
     build_profiles,
@@ -110,6 +111,29 @@ def test_election_from_counts_checks_totals():
         election_from_counts(
             THREE, [Candidate("a")], {"a": (1, 0, 0), "zz": (1, 0, 0)}
         )
+
+
+class _Count:
+    """An int-like that is not an int, as a NumPy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_profile_counts_must_be_integers():
+    profile = GradeProfile("a", (_Count(2), 1, _Count(0)))
+    assert profile.counts == (2, 1, 0) and set(map(type, profile.counts)) == {int}
+    for counts in ((1.9, 2, 1), (1, "2", 1), (True, 1, 0), (2.0, 1.0, 0.0)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            GradeProfile("a", counts)
+    # counts are never rounded into a float number of voters
+    with pytest.raises(ValidationError, match="must be integers"):
+        election_from_counts(THREE, [Candidate("a")], {"a": (2.0, 1.0, 0.0)})
+    election = election_from_counts(THREE, [Candidate("a")], {"a": (_Count(2), 1, 0)})
+    assert type(election.n_voters) is int and election.n_voters == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1054,6 +1054,36 @@ def test_cli_tally_still_rejects_whole_json_entries(tmp_path, capsys):
     )
 
 
+def test_cli_tally_drops_a_json_grade_for_an_empty_candidate_id(tmp_path, capsys):
+    # with no registered candidates only non-empty ids are inferred, so the
+    # empty one is dropped as an unknown candidate, as in CSV
+    ballots = '[{"voter_id": "v1", "grades": {"": "positive", "a": "neutral"}}]'
+    assert _tally(tmp_path, capsys, '{"method": "mj3"}', ballots) == (
+        1,
+        "rank  candidate  positive  neutral  negative  score  tiebreak\n"
+        "=============================================================\n"
+        "1     a                 0      100         0      0         0\n"
+        "1 ballots\n",
+        "warning: row 1 voter v1: unknown candidate '' (only this grade dropped)\n",
+    )
+
+
+@pytest.mark.parametrize("config, ballots, counted", [
+    (MJ3_A, '[{"voter_id": "", "grades": {"a": "positive"}}, '
+            '{"voter_id": "v2", "grades": {"a": "negative"}}]', "1 ballots"),
+    (BRACKET_AB, '[{"voter_id": "", "accept": true, "choices": ["upper"]}, '
+                 '{"voter_id": "v2", "accept": false, "choices": ["lower"]}]',
+     "ballot rejected (0 yes, 1 no): no winner"),
+])
+def test_cli_tally_rejects_a_json_entry_with_an_empty_voter_id(
+    config, ballots, counted, tmp_path, capsys
+):
+    # as CSV rejects a row with an empty voter_id; the entry after it counts
+    rc, out, err = _tally(tmp_path, capsys, config, ballots)
+    assert (rc, err) == (1, "warning: row 1: empty voter_id (row rejected)\n")
+    assert counted in out.splitlines()
+
+
 def test_cli_tally_refuses_bracket_ballots_that_are_an_object(tmp_path, capsys):
     ballots = '{"voter_id": "v1", "accept": true, "choices": ["upper"]}'
     assert _tally(tmp_path, capsys, BRACKET_AB, ballots) == (

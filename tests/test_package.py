@@ -57,6 +57,14 @@ def test_importing_the_root_loads_no_module():
     assert _fresh(f"import json, sys\nimport gradevote\nprint({_LOADED})") == []
 
 
+def test_outcome_comes_from_the_results_module_without_the_harness():
+    # Outcome and outcome_of are defined in results; properties re-exports them
+    loaded = _fresh(
+        f"import json, sys\nfrom gradevote import Outcome, outcome_of\nprint({_LOADED})")
+    assert "gradevote.results" in loaded
+    assert "gradevote.properties" not in loaded
+
+
 def test_tally_loads_neither_the_harness_nor_the_fixtures(tmp_path):
     (tmp_path / "c.json").write_text('{"method": "mj3", "candidates": [{"id": "a"}]}')
     (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\n")

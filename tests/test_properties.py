@@ -278,9 +278,9 @@ def test_sampled_partitions_are_distinct(monkeypatch):
     # 9 ballots have 2^8 - 1 = 255 partitions: 254 distinct draws miss one
     seen = []
 
-    def spy(election, vectors, masks, sampled):
+    def spy(election, vectors, copies, masks, sampled):
         seen.append(list(masks))
-        return check_masks(election, vectors, seen[-1], sampled=sampled)
+        return check_masks(election, vectors, copies, seen[-1], sampled=sampled)
 
     check_masks = properties._check_masks
     monkeypatch.setattr(properties, "_check_masks", spy)
@@ -628,9 +628,9 @@ def _reference_check_masks(
     candidate's positive and negative ballot bitmasks.
 
     ``signless`` (for tests only) weakens the premise as the kernel is
-    weakened with ``properties.mul`` patched to give 0: no candidate's sign
-    switch is tested, and the winner's scores need only be both zero or both
-    not.
+    weakened with ``properties._sign_table`` patched to keep every sign: no
+    candidate's sign switch is tested, and the winner's scores need only be
+    both zero or both not.
     """
     require_rankable(election)
     ids = [c.id for c in election.candidates]
@@ -773,7 +773,7 @@ def test_block_kernel_matches_the_reference_on_sampled_masks():
             while len(masks) < samples:
                 masks.setdefault(draw.randint(1, 2 ** (n - 1) - 1))
             expected = _reference_report(election, vectors, masks, sampled=True)
-        assert _check_masks(election, vectors, masks, sampled=True) == expected
+        assert _check_masks(election, vectors, (1,) * n, masks, sampled=True) == expected
         assert check_consistency(
             election, ballots, limit=n - 1, samples=samples, seed=n
         ) == expected
@@ -823,9 +823,9 @@ def _reference_splits(multiplicities: Sequence[int]) -> Iterator[int]:
 
 def test_kernel_violations_match_the_reference_without_the_sign_filter(monkeypatch):
     # weak consistency holds for three grades, so only a weakened premise
-    # finds violations: with mul giving 0, both the sign tables and the
+    # finds violations: with every sign kept, both the walk and the
     # per-block filter keep every mask, as the signless reference does
-    monkeypatch.setattr(properties, "mul", lambda a, b: 0)
+    monkeypatch.setattr(properties, "_sign_table", lambda k1, k2: [True] * len(k1))
     rng = random.Random(6174)
     violations = Counter()
     for _ in range(150):
@@ -845,7 +845,7 @@ def test_kernel_violations_match_the_reference_without_the_sign_filter(monkeypat
             continue
         got = [
             check_consistency(election, ballots, limit=n),  # the range path
-            _check_masks(election, vectors, drawn, sampled=True),
+            _check_masks(election, vectors, (1,) * n, drawn, sampled=True),
             check_consistency_splits(election, ballots),  # the per-block path
         ]
         assert got == expected
@@ -854,16 +854,17 @@ def test_kernel_violations_match_the_reference_without_the_sign_filter(monkeypat
     assert min(violations.values()) > 0, violations
 
 
-def _walk_masks(kinds, walk) -> Iterator[int]:
-    """The bitmask of each position of ``walk`` over the ballots sorted kind
-    by kind: digit ``k`` of a position, least significant first, is how many
-    ballots of kind ``kinds[k]`` part 1 takes, a prefix of that kind's bits."""
-    ordered = sorted(zip(kinds, walk.copies))
+def _walk_masks(kinds, copies, positions) -> Iterator[int]:
+    """The bitmask of each of the walk's ``positions`` over the ballots
+    sorted kind by kind: digit ``k`` of a position, least significant first,
+    is how many of the ``copies[k]`` ballots of kind ``kinds[k]`` part 1
+    takes, a prefix of that kind's bits."""
+    ordered = sorted(zip(kinds, copies))
     offsets = dict(zip((vec for vec, _ in ordered),
                        accumulate((m for _, m in ordered), initial=0)))
-    for position in walk.positions:
+    for position in positions:
         mask = 0
-        for vec, m in zip(kinds, walk.copies):
+        for vec, m in zip(kinds, copies):
             position, taken = divmod(position, m + 1)
             mask |= ((1 << taken) - 1) << offsets[vec]
         yield mask
@@ -875,7 +876,8 @@ def test_split_masks_match_the_reference_generator(monkeypatch):
     seen = []
     monkeypatch.setattr(
         properties, "_check_masks",
-        lambda election, kinds, walk, sampled: seen.append(list(_walk_masks(kinds, walk))),
+        lambda election, kinds, copies, positions, sampled: seen.append(
+            list(_walk_masks(kinds, copies, positions))),
     )
     candidates = [Candidate(f"c{i + 1}") for i in range(3)]
     kinds = list(product(range(3), repeat=3))  # sorted, as the check sorts them
@@ -989,7 +991,7 @@ def test_sign_tables_follow_the_recount_rule():
             n, [(p, 0, q) for p in range(side) for q in range(side)])
         for tp, tq in ((tp, tq) for tp in range(side) for tq in range(side - tp)):
             end = tp * side + tq
-            ok = properties._sign_table(table, end)
+            ok = properties._sign_table(table[:end + 1], table[end::-1])
             assert len(ok) == end + 1
             for p, q in product(range(tp + 1), range(tq + 1)):
                 s1 = score3(Tally3(p, n - tp - tq, q)).s
@@ -1087,7 +1089,7 @@ def test_block_kernel_on_blocks_with_no_and_with_one_sign_survivor():
     }
     for name, masks in cases.items():
         for masks in (masks, list(masks)):  # a range, and the per-block path
-            got = _check_masks(election, vectors, masks, sampled=False)
+            got = _check_masks(election, vectors, (1,) * n, masks, sampled=False)
             assert got == _reference_check_masks(election, vectors, masks, sampled=False)[0]
             assert got.n_partitions_checked == len(masks)
             assert got.n_premise_satisfied == (name != "none"), name

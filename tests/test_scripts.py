@@ -1,6 +1,6 @@
 """Smoke tests for the scripts under ``scripts/``, run in-process, and for
-the sweeps script and the CLI run as child processes whose reader goes away
-or that start without a usable standard error."""
+both scripts and the CLI run as child processes whose reader goes away, whose
+standard output is full, or that start without a usable standard error."""
 
 import json
 
@@ -74,6 +74,48 @@ def _with_closed_stdout(args, unbuffered):
 def test_property_sweeps_script_exits_quietly_on_a_closed_pipe(unbuffered):
     args = [str(SCRIPTS / "run_property_sweeps.py"), "--instances", "20"]
     assert _with_closed_stdout(args, unbuffered) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_render_fixtures_script_exits_quietly_on_a_closed_pipe(unbuffered):
+    args = [str(SCRIPTS / "render_fixtures.py"), "--format", "json"]
+    assert _with_closed_stdout(args, unbuffered) == (1, "")
+
+
+#: each script on a full standard output, with arguments that keep it short
+FULL_STDOUT_SCRIPTS = {
+    "render_fixtures": ["render_fixtures.py"],
+    "run_property_sweeps": ["run_property_sweeps.py", "--instances", "5",
+                            "--exhaustive-voters", "2"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("script", list(FULL_STDOUT_SCRIPTS))
+def test_scripts_report_a_stdout_they_cannot_write(tmp_path, script, unbuffered):
+    # before, an OSError traceback out of print or the final flush
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    name, *args = FULL_STDOUT_SCRIPTS[script]
+    child = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], cwd=tmp_path,
+        env=_child_env(PYTHONUNBUFFERED=unbuffered), stderr=subprocess.PIPE, text=True,
+        timeout=60, preexec_fn=lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 1),
+    )
+    assert (child.returncode, child.stderr) == (
+        1, "error: cannot write standard output: No space left on device\n")
+
+
+def test_render_fixtures_script_reports_an_outdir_under_a_file(tmp_path):
+    # before, a NotADirectoryError traceback out of write_wire_files
+    (tmp_path / "file").write_text("")
+    child = subprocess.run(
+        [sys.executable, str(SCRIPTS / "render_fixtures.py"), "--outdir", "file/x"],
+        cwd=tmp_path, env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (
+        1, "error: cannot write file/x: Not a directory\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
