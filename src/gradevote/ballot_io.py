@@ -39,9 +39,11 @@ reader: no ``"`` or NUL, no whitespace but line ends (so no padded cell), the
 exact header, and every row kept (blank lines are skipped, as the CSV reader
 skips them).  Such a file is counted from its lines, whether they end in LF,
 CRLF or CR.  Any other file (quoted, padded or with a row to reject) is read
-by the CSV reader, which stays the only code that names rejected rows.  The
-proof stops at its first failing check, so a file with a rejected row pays
-for the passes up to that check on top of the CSV reader.
+by the CSV reader, which stays the only code that names rejected rows.  Both
+walk the text in line-aligned slices (:func:`_slices`), so the proof holds no
+string per line of the whole text, and the CSV reader no second copy of it.
+The row checks of the proof run after its walk, so a quote-free file with a
+row to reject pays for the whole walk on top of the CSV reader.
 
 :func:`count_bracket_ballots` counts a bracket document the same way: one
 whose columns prove every entry valid is counted from them, and any other is
@@ -60,7 +62,7 @@ import json
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, itemgetter, not_
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -294,8 +296,10 @@ def count_ballots(
     :class:`Ballot` objects: a clean one (no ``"`` or NUL, no whitespace
     but line ends) is counted from its lines, whether they end in LF, CRLF or
     CR (:func:`_count_lines`), any other from the columns of
-    :func:`_read_csv`.  JSON nested too deep or holding an over-long integer
-    raises :class:`ValidationError`.
+    :func:`_read_csv`.  Counting a clean file holds at once the text, the
+    lines of one slice of it, the ``(candidate, grade)`` tally, the set of
+    voters and the set of ``"voter,candidate"`` heads.  JSON nested too deep
+    or holding an over-long integer raises :class:`ValidationError`.
     """
     text = _read_text(source)
     if _is_json(source, text):
@@ -335,6 +339,23 @@ def _gc_paused() -> Iterator[None]:
 #: the ASCII characters ``str.strip`` removes, less the line ends ``\n`` and ``\r``
 _ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 
+#: the least number of characters in a slice of :func:`_slices`
+_SLICE = 1 << 17
+
+
+def _slices(text: str) -> Iterator[str]:
+    """The text in slices of at least ``_SLICE`` characters (the last may be
+    shorter), each ending just after the first LF at or past that size.  Past
+    the last LF, a slice ends after a CR instead: no CR there is followed by
+    an LF, so no CRLF is ever cut.  Every slice thus ends where
+    ``str.splitlines`` and a ``newline=""`` stream end a line."""
+    start, stop, last_lf = 0, len(text), text.rfind("\n")
+    while start < stop:
+        at = start + _SLICE - 1
+        cut = text.find("\n" if at <= last_lf else "\r", at) + 1 or stop
+        yield text[start:cut]
+        start = cut
+
 
 def _count_lines(
     text: str, scale: GradeScale, candidates: Sequence[Candidate]
@@ -346,11 +367,17 @@ def _count_lines(
     splits it at commas and line ends alone and ``str.strip`` leaves its
     cells as they are.  Every other line break of ``str.splitlines`` is such
     whitespace, so its lines end at LF, CRLF and CR, where the csv reader's
-    records end.  Blank lines are skipped, as ``_read_csv`` skips them.  Each
-    of its row checks is a C-level pass over the lines or runs once per
-    distinct ``"candidate,grade"`` tail (from ``str.partition``); a repeated
-    ``(voter, candidate)`` pair is a repeated ``"voter,candidate"`` head (from
-    ``str.rpartition``).  The first check that fails ends the proof.
+    records end.  These checks and the header's run on the whole text.
+
+    The rows are then walked one slice of :func:`_slices` at a time, so
+    besides the text only one slice's lines are held at once, with what the
+    walk keeps: the tally of ``"candidate,grade"`` tails (from
+    ``str.partition``, in first-appearance order), the set of voters, and the
+    set of ``"voter,candidate"`` heads (from ``str.rpartition``), where a
+    repeated ``(voter, candidate)`` pair is a repeated head.  Blank lines are
+    skipped, as ``_read_csv`` skips them.  The row checks run after the walk,
+    once per distinct tail, over the heads and over the voters; the first
+    that fails ends the proof.
     """
     if '"' in text or "\0" in text:
         return None
@@ -359,12 +386,22 @@ def _count_lines(
             return None
     elif any(ch.isspace() for ch in set(text) if ch not in "\r\n"):
         return None
-    lines = text.splitlines()
-    if not lines or lines[0] != ",".join(BALLOT_CSV_HEADER):
+    header = ",".join(BALLOT_CSV_HEADER)
+    if text[:len(header) + 1].splitlines()[:1] != [header]:  # the first line
         return None
-    rows = list(filter(None, islice(lines, 1, None)))
+    tails: Counter = Counter()
+    voters: set[str] = set()
+    heads: set[str] = set()
+    n_rows, skip = 0, 1  # the first slice starts with the header line
+    for piece in _slices(text):
+        rows = list(filter(None, islice(piece.splitlines(), skip, None)))
+        skip = 0
+        n_rows += len(rows)
+        parts = list(map(str.partition, rows, repeat(",")))
+        tails.update(map(itemgetter(2), parts))
+        voters.update(map(itemgetter(0), parts))
+        heads.update(map(itemgetter(0), map(str.rpartition, rows, repeat(","))))
     limit = csv.field_size_limit()  # a longer field is an error of csv's
-    tails = Counter(map(itemgetter(2), map(str.partition, rows, repeat(","))))
     tally: Counter = Counter()
     for tail, n in tails.items():
         cid, comma, grade = tail.partition(",")
@@ -372,14 +409,11 @@ def _count_lines(
             return None  # a ragged row, or a field the csv reader refuses
         tally[cid, grade] = n
     known, wrong = _roster(tally, scale, candidates)
-    if wrong or not rows:
+    if wrong or not n_rows or len(heads) != n_rows:
         return None
-    if len(set(map(itemgetter(0), map(str.rpartition, rows, repeat(","))))) != len(rows):
-        return None
-    voters = set(map(itemgetter(0), map(str.partition, rows, repeat(","))))
     if "" in voters or max(map(len, voters)) > limit:
         return None
-    report = ParseReport(n_rows=len(rows), n_ballots=len(voters))
+    report = ParseReport(n_rows=n_rows, n_ballots=len(voters))
     return tally, report, tuple(known.values())
 
 
@@ -405,6 +439,12 @@ def _read_csv(
     rows it keeps, in file order, with their ``(candidate, grade)`` tally, the
     report and the roster.
 
+    ``csv.reader`` reads the text one slice of :func:`_slices` at a time,
+    each through its own ``newline=""`` stream, so the whole text is never
+    held twice.  A slice ends only where such a stream ends a line, so the
+    lines, and the records made of them (a quoted cell's CR or LF included),
+    are those of the whole text.
+
     The checks run in the order a row-by-row reader would apply them: blank
     or ragged row, empty voter, unknown candidate (after roster inference),
     unknown grade, repeated ``(voter, candidate)``.  Each is first one pass of
@@ -414,7 +454,8 @@ def _read_csv(
     the next check; a row thus gets at most one issue.
     """
     try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        rows = list(csv.reader(chain.from_iterable(
+            io.StringIO(piece, newline="") for piece in _slices(text))))
     except csv.Error as exc:
         raise ValidationError(f"ballots are not valid CSV: {exc}") from None
     report = ParseReport()
@@ -519,7 +560,7 @@ def _parse_ballots_json(
             )
             continue
         voter = entry["voter_id"]
-        if not voter:
+        if not voter.strip():  # as a CSV cell is stripped
             report.issues.append(ParseIssue(index, None, "empty voter_id"))
             continue
         if voter in seen:
@@ -640,7 +681,8 @@ def _count_bracket_columns(
         )
     except KeyError:
         return None
-    if (set(map(type, voters)) != {str} or len(set(voters)) != len(voters) or "" in voters
+    if (set(map(type, voters)) != {str} or len(set(voters)) != len(voters)
+            or not all(map(str.strip, voters))  # an empty or blank-only voter
             or set(map(type, accepts)) != {bool} or set(map(type, choices)) != {list}):
         return None
     try:
@@ -667,7 +709,7 @@ def _parse_bracket_entries(
             report.issues.append(ParseIssue(index, None, "entry needs 'voter_id'"))
             continue
         voter = entry["voter_id"]
-        if not voter:
+        if not voter.strip():  # as a CSV cell is stripped
             report.issues.append(ParseIssue(index, None, "empty voter_id"))
             continue
         if voter in seen:

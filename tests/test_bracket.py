@@ -512,6 +512,19 @@ def test_an_empty_voter_id_is_rejected_by_both_bracket_readers():
     assert (report.n_rows, report.n_ballots) == (2, 1)
 
 
+@pytest.mark.parametrize("voter", [" ", "\t \n"])
+def test_a_blank_voter_id_is_rejected_by_both_bracket_readers(voter):
+    # a CSV cell is stripped, so a blank voter_id is an empty one here too
+    candidates = [Candidate("c0"), Candidate("c1")]
+    text = json.dumps([{"voter_id": "v1", "accept": False, "choices": [LOWER]},
+                       {"voter_id": voter, "accept": True, "choices": [UPPER]}])
+    counted = _counted(text, candidates)
+    assert counted == _read_entry_by_entry(text, candidates)
+    report = counted[1]
+    assert [(i.row, i.voter, i.reason) for i in report.issues] == [(2, None, "empty voter_id")]
+    assert (report.n_rows, report.n_ballots) == (2, 1)
+
+
 @pytest.mark.parametrize("text", ["[]", "{}", "[", "3", '[{"voter_id": "v1"}]'])
 def test_fixed_bracket_documents_match_the_entry_reader(text, bracket_configs):
     candidates = [Candidate("c0"), Candidate("c1")]

@@ -7,13 +7,18 @@ On any input they must return what the row-by-row reader below (the reader
 they replaced, kept verbatim) makes of it: the same ballots, or the counts
 ``build_profiles`` makes of them, with the same report, issue order and
 roster, and ``gradevote tally`` must print the same bytes as when it ran on
-that reference.
+that reference.  Both readers walk the text in line-aligned slices; with the
+slice size patched small, so that slices end at nearly every line, they must
+still read every text alike.
 """
 
 import csv
 import io
+import json
+import tracemalloc
 from collections.abc import Sequence
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,12 +132,28 @@ def _outcome(read, text, scale, candidates):
         return ("ValidationError", str(exc))
 
 
-def _reads_like_reference(text, scale, candidates):
-    """Both readers give what the reference gives, or the same error."""
+#: slice sizes that cut a short text at nearly every line end: after the
+#: header, inside runs of CRLF and before an unterminated last line
+SMALL_SLICES = (1, 2, 3, 7)
+
+
+@contextmanager
+def _slice_size(size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ballot_io, "_SLICE", size)
+        yield
+
+
+def _reads_like_reference(text, scale, candidates, sizes=SMALL_SLICES):
+    """Both readers give what the reference gives, or the same error, with
+    the text read in slices of the default size and of each of ``sizes``."""
     for read, reference in ((parse_ballots, reference_parse),
                             (count_ballots, reference_count)):
-        assert (_outcome(read, text, scale, candidates)
-                == _outcome(reference, text, scale, candidates))
+        expected = _outcome(reference, text, scale, candidates)
+        assert _outcome(read, text, scale, candidates) == expected
+        for size in sizes:
+            with _slice_size(size):
+                assert _outcome(read, text, scale, candidates) == expected, size
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +226,9 @@ def elections(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(elections())
 def test_count_ballots_matches_the_row_by_row_reader(case):
-    _reads_like_reference(*case)
+    # slices of one line each cut the quoted line ends inside cells; the
+    # other small sizes are left to the tests of quote-free and quoted files
+    _reads_like_reference(*case, sizes=(1,))
 
 
 @pytest.mark.parametrize("text", [
@@ -222,6 +245,24 @@ def test_count_ballots_matches_the_row_by_row_reader(case):
 @pytest.mark.parametrize("candidates", [(), (Candidate("a"), Candidate("b"))])
 def test_count_ballots_matches_on_empty_json_and_malformed_input(text, candidates):
     _reads_like_reference(text, GradeScale(LABELS[:3]), candidates)
+
+
+@pytest.mark.parametrize("voter", ["", " ", "\t \r\n"])
+def test_an_empty_voter_id_is_rejected_in_json_as_in_csv(voter):
+    # CSV strips its cells, so a blank voter_id is an empty one in JSON too
+    scale = GradeScale(LABELS[:3])
+    text = json.dumps([{"voter_id": voter, "grades": {"a": "top"}},
+                       {"voter_id": "v2", "grades": {"a": "fair"}}])
+    (ballots, parsed, _), (election, counted, _) = (
+        read(io.StringIO(text), scale) for read in (parse_ballots, count_ballots))
+    assert parsed == counted
+    assert counted.issues == [ParseIssue(1, None, "empty voter_id")]
+    assert ([b.voter_id for b in ballots], election.n_voters) == (["v2"], 1)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [BALLOT_CSV_HEADER, [voter, "a", "top"], ["v2", "a", "fair"]])
+    csv_report = count_ballots(io.StringIO(out.getvalue()), scale)[1]
+    assert [i.reason for i in csv_report.issues] == ["empty voter_id"]
 
 
 def test_count_ballots_completes_ungraded_candidates_to_the_worst_grade():
@@ -256,6 +297,63 @@ def test_a_clean_file_never_builds_ballots(tmp_path, monkeypatch, capsys):
     assert [rc for rc, _, _ in expected] == [0, 1]
 
 
+@pytest.mark.parametrize("size", SMALL_SLICES)
+def test_slices_end_at_line_ends_and_never_inside_a_crlf(size, monkeypatch):
+    monkeypatch.setattr(ballot_io, "_SLICE", size)
+    for n in range(7):
+        for text in map("".join, product("a\r\n", repeat=n)):
+            pieces = list(ballot_io._slices(text))
+            assert "".join(pieces) == text
+            assert all(len(piece) >= size for piece in pieces[:-1])
+            assert [line for piece in pieces for line in piece.splitlines()] == (
+                text.splitlines())
+            assert not any(a.endswith("\r") and b.startswith("\n")
+                           for a, b in zip(pieces, pieces[1:]))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_quoted_line_ends_in_cells_read_alike_in_any_slices(end):
+    # a slice ends only at an LF or, with no LF left, a lone CR, so a CR, LF
+    # or CRLF inside a quoted cell may end a slice but never splits a record
+    rows = ['"v\r1",a,top', '"v\n1",a,fair', '"v\r\n1",b,top', 'v2,"a",top',
+            '"v\r\n\r\n3",b,"fair"', '"v\n\r4",a,top']
+    text = end.join([HEADER.strip(), *rows]) + end
+    scale = GradeScale(LABELS[:3])
+    _reads_like_reference(text, scale, ())
+    voters = ["v\r1", "v\n1", "v\r\n1", "v2", "v\r\n\r\n3", "v\n\r4"]
+    for size in (ballot_io._SLICE, *SMALL_SLICES):
+        with _slice_size(size):
+            ballots, report, _ = parse_ballots(io.StringIO(text), scale)
+        assert ([b.voter_id for b in ballots], report.ok) == (voters, True), size
+
+
+def test_the_counted_path_holds_one_slice_of_lines_at_a_time(monkeypatch):
+    """Counting a clean text, its own read of the text included, holds less
+    at once than the head set it keeps plus the list of the text's lines,
+    which the walk never builds.  Slices of 4,096 characters keep the one
+    slice small beside 20,000 rows."""
+    monkeypatch.setattr(ballot_io, "_SLICE", 1 << 12)
+    text = HEADER + "".join(f"v{v:05d},{cid},{LABELS[(v + i) % 3]}\n"
+                            for v in range(4_000) for i, cid in enumerate("abcde"))
+    rows = text.splitlines()[1:]
+    source = io.StringIO(text)
+    scale = GradeScale(LABELS[:3])
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lines = peak(text.splitlines)
+    heads = peak(lambda: {row.rpartition(",")[0] for row in rows})
+    with _csv_reader_refused():
+        counted = peak(lambda: count_ballots(source, scale))
+    assert counted < lines + heads, (counted, lines, heads)
+
+
 def test_rejected_row_numbers_count_csv_records_not_lines(tmp_path, capsys):
     # the header is row 1; a quoted newline in voter "v\n1" does not advance
     # the count, so the rejected record on line 4 of the file is row 3
@@ -283,6 +381,17 @@ def _csv_reader_refused():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(csv, "reader", refuse)
         yield
+
+
+def _counted_like_reference(text, scale, candidates=()):
+    """``count_ballots`` counts a clean text from its lines, in slices of the
+    default size and of each small size, as the reference counts it."""
+    expected = reference_count(io.StringIO(text), scale, candidates)
+    with _csv_reader_refused():
+        for size in (ballot_io._SLICE, *SMALL_SLICES):
+            with _slice_size(size):
+                assert count_ballots(io.StringIO(text), scale, candidates) == expected, size
+    return expected
 
 
 PLAIN_VOTERS = ("v1", "v2", "v3", "v10", "\u00e95")  # one id is not ASCII
@@ -352,9 +461,7 @@ def test_quote_free_files_match_the_row_by_row_reader(case):
     text, scale, candidates, dirt = case
     _reads_like_reference(text, scale, candidates)
     if not dirt:
-        expected = reference_count(io.StringIO(text), scale, candidates)
-        with _csv_reader_refused():
-            assert count_ballots(io.StringIO(text), scale, candidates) == expected
+        _counted_like_reference(text, scale, candidates)
 
 
 # a row ended by a CR of its own is no dirt: it ends in CRLF here
@@ -461,20 +568,17 @@ def test_a_pair_repeated_with_another_grade_keeps_the_first():
 
 def test_an_inferred_roster_follows_first_appearance_on_the_counted_path():
     text = f"{HEADER}v1,c,top\nv2,a,fair\nv1,b,good\nv2,c,top\n"
-    with _csv_reader_refused():
-        election, report, roster = count_ballots(io.StringIO(text), GradeScale(LABELS[:3]))
+    election, report, roster = _counted_like_reference(text, GradeScale(LABELS[:3]))
     assert [c.id for c in roster] == ["c", "a", "b"]
     assert (report.n_rows, report.n_ballots, report.ok) == (4, 2, True)
     assert [p.counts for p in election.profiles] == [(2, 0, 0), (0, 0, 2), (0, 1, 1)]
 
 
 def test_blank_lines_are_skipped_on_the_counted_path():
-    text = f"{HEADER}\nv1,a,top\n\n\nv2,b,fair\n\n"
-    scale = GradeScale(LABELS[:3])
-    expected = reference_count(io.StringIO(text), scale)
-    assert (expected[1].n_rows, expected[1].ok) == (2, True)
-    with _csv_reader_refused():
-        assert count_ballots(io.StringIO(text), scale) == expected
+    for end in ("\n", "\r\n", "\r"):
+        text = f"{HEADER}\nv1,a,top\n\n\nv2,b,fair\n\n".replace("\n", end)
+        report = _counted_like_reference(text, GradeScale(LABELS[:3]))[1]
+        assert (report.n_rows, report.ok) == (2, True)
 
 
 @pytest.mark.parametrize("name", ["smalltown", "school3"])

@@ -1074,11 +1074,17 @@ def test_cli_tally_drops_a_json_grade_for_an_empty_candidate_id(tmp_path, capsys
     (BRACKET_AB, '[{"voter_id": "", "accept": true, "choices": ["upper"]}, '
                  '{"voter_id": "v2", "accept": false, "choices": ["lower"]}]',
      "ballot rejected (0 yes, 1 no): no winner"),
+    (MJ3_A, '[{"voter_id": " ", "grades": {"a": "positive"}}, '
+            '{"voter_id": "v2", "grades": {"a": "negative"}}]', "1 ballots"),
+    (BRACKET_AB, '[{"voter_id": "\\t", "accept": true, "choices": ["upper"]}, '
+                 '{"voter_id": "v2", "accept": false, "choices": ["lower"]}]',
+     "ballot rejected (0 yes, 1 no): no winner"),
 ])
 def test_cli_tally_rejects_a_json_entry_with_an_empty_voter_id(
     config, ballots, counted, tmp_path, capsys
 ):
-    # as CSV rejects a row with an empty voter_id; the entry after it counts
+    # as CSV rejects a row whose voter_id is empty once stripped (the last
+    # two); the entry after it counts
     rc, out, err = _tally(tmp_path, capsys, config, ballots)
     assert (rc, err) == (1, "warning: row 1: empty voter_id (row rejected)\n")
     assert counted in out.splitlines()
