@@ -180,16 +180,17 @@ def bracket_from_counts(
         raise ValidationError(f"accept marks must lie between 0 and {n_ballots}")
     accepted = 2 * accept_yes > n_ballots
 
-    node_index = {node.candidates: i for i, node in enumerate(nodes)}
     trace: list[NodeDecision] = []
-    span = nodes[0].candidates
+    i, span = 0, nodes[0].candidates
     while len(span) >= 2:
-        i = node_index[span]
+        node = nodes[i]
         up = sum(n for kind, n in kinds.items() if kind[i] == UPPER)
         down = n_ballots - up
         chosen = UPPER if up >= down else LOWER
-        trace.append(NodeDecision(nodes[i], up, down, chosen, up == down))
-        span = nodes[i].upper if chosen == UPPER else nodes[i].lower
+        trace.append(NodeDecision(node, up, down, chosen, up == down))
+        span = node.upper if chosen == UPPER else node.lower
+        # in preorder the upper subtree's len(upper) - 1 nodes follow node i
+        i += 1 if chosen == UPPER else len(node.upper)
 
     return BracketResult(
         candidates=nodes[0].candidates,

@@ -6,8 +6,8 @@ Three verbs:
 * ``gradevote check`` — run the property harness against an election:
   participation (no-show) search, partition-consistency checks (``mj3``, and
   ``mj`` on three grades), plus optional randomized sweeps.
-* ``gradevote demo``  — tally a built-in fixture and optionally write its
-  config and ballot files for further experiments.
+* ``gradevote demo``  — tally a built-in fixture from the config and ballot
+  texts it writes with ``--outdir``, through the same code as ``tally``.
 
 Exit codes: 0 success, 1 validation failure (also standard input closed,
 standard output closed, closed early or full, or an ``--outdir`` that cannot
@@ -15,6 +15,7 @@ be written), 2 configuration error, 3 property violation found by ``check``.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -190,7 +191,12 @@ def _drop_stdout() -> None:
 
 
 def cmd_tally(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    return _tally(_resolve_config(args), lambda: _ballot_source(args), args.format)
+
+
+def _tally(config: ElectionConfig, ballots, fmt: str) -> int:
+    """Check ``config``, then count what ``ballots()`` opens and print the
+    report and the result as ``fmt``: 0, or 1 if a row was rejected."""
     if config.method == "bracket":
         if len(config.candidates) < 2:
             raise ConfigError(
@@ -198,15 +204,15 @@ def cmd_tally(args: argparse.Namespace) -> int:
             )
         from .bracket import bracket_from_counts
 
-        counts, report = count_bracket_ballots(_ballot_source(args), config.candidates)
+        counts, report = count_bracket_ballots(ballots(), config.candidates)
         _print_report(report)
-        _emit(render_bracket(bracket_from_counts(config.candidates, *counts), args.format))
+        _emit(render_bracket(bracket_from_counts(config.candidates, *counts), fmt))
         return 0 if report.ok else 1
     election, report, candidates = count_ballots(
-        _ballot_source(args), config.scale, config.candidates
+        ballots(), config.scale, config.candidates
     )
     _print_grade_report(report, candidates)
-    _emit(render_result(RANKERS[config.method](election), args.format))
+    _emit(render_result(RANKERS[config.method](election), fmt))
     return 0 if report.ok else 1
 
 
@@ -398,7 +404,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .fixtures import FIXTURES, load_fixture, render_fixture, write_wire_files
+    from .fixtures import FIXTURES, load_fixture, wire_files
 
     if not args.name:
         lines = []
@@ -411,16 +417,22 @@ def cmd_demo(args: argparse.Namespace) -> int:
         fixture = load_fixture(args.name)
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from None
-    _emit(render_fixture(fixture, args.format))
+    # count the very texts --outdir writes, as tally counts those files
+    files = wire_files(fixture)
+    config, ballots = files.values()
+    status = _tally(load_config(io.StringIO(config)), lambda: io.StringIO(ballots), args.format)
 
     if args.outdir:
+        outdir = Path(args.outdir)
         try:
-            paths = write_wire_files(fixture, Path(args.outdir))
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (outdir / name).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise VoteError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
-        for path in paths:
-            _stderr(f"wrote {path}")
-    return 0
+        for name in files:
+            _stderr(f"wrote {outdir / name}")
+    return status
 
 
 def main(argv: "list[str] | None" = None) -> int:

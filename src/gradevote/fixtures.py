@@ -16,9 +16,11 @@ Four small scenarios exercise every method and every interesting behaviour:
   smaller half and is eliminated at the first split.
 
 A :class:`Fixture` is a frozen record (:func:`gradevote.core.record`).
+``gradevote demo`` counts a fixture only from its :func:`wire_files`, the
+config and ballot texts that ``gradevote tally`` reads, so a fixture must be
+expressible in its wire format: a graded ballot needs at least one grade,
+since :func:`~gradevote.ballot_io.ballots_to_csv` refuses blank ballots.
 """
-
-from pathlib import Path
 
 from .approval import APPROVAL_SCALE
 from .ballot_io import (
@@ -26,12 +28,9 @@ from .ballot_io import (
     ballots_to_csv,
     bracket_ballots_to_json,
     config_to_json,
-    render_bracket,
-    render_result,
 )
-from .bracket import BracketBallot, bracket_elect, sincere_ballot
-from .core import Ballot, Candidate, GradeScale, build_profiles, record
-from .methods import RANKERS
+from .bracket import BracketBallot, sincere_ballot
+from .core import Ballot, Candidate, GradeScale, record
 from .mj3 import MJ3_SCALE
 
 SCHOOL_SCALE = GradeScale(("Cool!", "Nice", "Ok", "Help, no!"))
@@ -194,30 +193,16 @@ def load_fixture(name: str) -> Fixture:
         ) from None
 
 
-def render_fixture(fixture: Fixture, fmt: str) -> str:
-    """Tally ``fixture`` by its own method and render the result as ``fmt``
-    (``table``, ``json`` or ``csv``), as ``gradevote demo`` prints it."""
-    if fixture.method == "bracket":
-        result = bracket_elect(fixture.candidates, fixture.bracket_ballots)
-        return render_bracket(result, fmt)
-    election = build_profiles(fixture.scale, fixture.candidates, fixture.ballots)
-    return render_result(RANKERS[fixture.method](election), fmt)
-
-
-def write_wire_files(fixture: Fixture, outdir: Path) -> tuple[Path, Path]:
-    """Write ``fixture``'s config and ballot files into ``outdir`` (made if
-    missing), in the formats ``gradevote tally`` reads; return their paths."""
-    outdir.mkdir(parents=True, exist_ok=True)
+def wire_files(fixture: Fixture) -> dict[str, str]:
+    """The texts of ``fixture``'s config and ballot files by file name, config
+    first, in the formats ``gradevote tally`` reads."""
     config = ElectionConfig(
         method=fixture.method, scale=fixture.scale, candidates=fixture.candidates
     )
-    config_path = outdir / f"{fixture.name}.config.json"
-    config_path.write_text(config_to_json(config), encoding="utf-8")
     if fixture.method == "bracket":
-        ballots_path = outdir / f"{fixture.name}.ballots.json"
+        ballots_name = f"{fixture.name}.ballots.json"
         ballots = bracket_ballots_to_json(fixture.bracket_ballots)
     else:
-        ballots_path = outdir / f"{fixture.name}.ballots.csv"
+        ballots_name = f"{fixture.name}.ballots.csv"
         ballots = ballots_to_csv(fixture.ballots)
-    ballots_path.write_text(ballots, encoding="utf-8")
-    return config_path, ballots_path
+    return {f"{fixture.name}.config.json": config_to_json(config), ballots_name: ballots}

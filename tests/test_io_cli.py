@@ -426,8 +426,8 @@ def test_bracket_rendering():
 # command line
 # ---------------------------------------------------------------------------
 
-def _write_fixture(tmp_path, name):
-    assert main(["demo", name, "--outdir", str(tmp_path)]) == 0
+def _write_fixture(tmp_path, name, *flags):
+    assert main(["demo", name, "--outdir", str(tmp_path), *flags]) == 0
     config = tmp_path / f"{name}.config.json"
     suffix = "ballots.json" if name == "bracket-bias" else "ballots.csv"
     ballots = tmp_path / f"{name}.{suffix}"
@@ -453,6 +453,15 @@ def test_cli_demo_refuses_an_outdir_under_a_file(tmp_path, capsys):
     blocker.write_text("")
     assert main(["demo", "smalltown", "--outdir", str(blocker / "x")]) == 1
     assert capsys.readouterr().err == f"error: cannot write {blocker / 'x'}: Not a directory\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("name", ["school", "school3", "smalltown", "bracket-bias"])
+def test_demo_prints_what_tally_prints_on_its_own_files(tmp_path, capsys, name, fmt):
+    config, ballots = _write_fixture(tmp_path, name, "--format", fmt)
+    demo = capsys.readouterr().out
+    assert main(["tally", "--config", config, "--ballots", ballots, "--format", fmt]) == 0
+    assert capsys.readouterr().out == demo
 
 
 def test_cli_tally_from_written_fixture(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Smoke tests for the scripts under ``scripts/``, run in-process, and for
-both scripts and the CLI run as child processes whose reader goes away, whose
-standard output is full, or that start without a usable standard error."""
+"""Smoke tests for the property-sweeps script under ``scripts/``, run
+in-process, and for that script and the CLI run as child processes whose
+reader goes away, whose standard output is full, or that start without a
+usable standard error."""
 
 import json
 
@@ -11,9 +12,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from gradevote.cli import main as cli_main
-from gradevote.fixtures import FIXTURES, load_fixture
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -76,15 +74,8 @@ def test_property_sweeps_script_exits_quietly_on_a_closed_pipe(unbuffered):
     assert _with_closed_stdout(args, unbuffered) == (1, "")
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""])
-def test_render_fixtures_script_exits_quietly_on_a_closed_pipe(unbuffered):
-    args = [str(SCRIPTS / "render_fixtures.py"), "--format", "json"]
-    assert _with_closed_stdout(args, unbuffered) == (1, "")
-
-
 #: each script on a full standard output, with arguments that keep it short
 FULL_STDOUT_SCRIPTS = {
-    "render_fixtures": ["render_fixtures.py"],
     "run_property_sweeps": ["run_property_sweeps.py", "--instances", "5",
                             "--exhaustive-voters", "2"],
 }
@@ -106,18 +97,6 @@ def test_scripts_report_a_stdout_they_cannot_write(tmp_path, script, unbuffered)
         1, "error: cannot write standard output: No space left on device\n")
 
 
-def test_render_fixtures_script_reports_an_outdir_under_a_file(tmp_path):
-    # before, a NotADirectoryError traceback out of write_wire_files
-    (tmp_path / "file").write_text("")
-    child = subprocess.run(
-        [sys.executable, str(SCRIPTS / "render_fixtures.py"), "--outdir", "file/x"],
-        cwd=tmp_path, env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, timeout=60,
-    )
-    assert (child.returncode, child.stderr) == (
-        1, "error: cannot write file/x: Not a directory\n")
-
-
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_cli_exits_quietly_on_a_closed_pipe(unbuffered):
     # unbuffered, the first write fails; buffered, the flush at the end does
@@ -136,24 +115,14 @@ def test_cli_reports_a_stdout_it_cannot_write(tmp_path, stdout, reason, unbuffer
     (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\n")
     target = {"closed": lambda: os.close(1),
               "full": lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 1)}[stdout]
-    child = subprocess.run(
-        [sys.executable, "-m", "gradevote.cli", "tally", "--method", "mj3",
-         "--ballots", "b.csv"], cwd=tmp_path, env=_child_env(PYTHONUNBUFFERED=unbuffered),
-        stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=target,
-    )
-    assert (child.returncode, child.stderr) == (
-        1, f"error: cannot write standard output: {reason}\n")
-
-
-@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-def test_render_fixtures_script_prints_what_demo_prints(capsys, fmt):
-    expected = []
-    for name in FIXTURES:
-        assert cli_main(["demo", name, "--format", fmt]) == 0
-        demo = capsys.readouterr().out
-        expected.append(f"== {name}: {load_fixture(name).notes}\n{demo}\n")
-    assert _script_main("render_fixtures.py")(["--format", fmt]) == 0
-    assert capsys.readouterr().out == "".join(expected)
+    for args in (["tally", "--method", "mj3", "--ballots", "b.csv"], ["demo", "school"]):
+        child = subprocess.run(
+            [sys.executable, "-m", "gradevote.cli", *args], cwd=tmp_path,
+            env=_child_env(PYTHONUNBUFFERED=unbuffered), stderr=subprocess.PIPE, text=True,
+            timeout=60, preexec_fn=target,
+        )
+        assert (child.returncode, child.stderr) == (
+            1, f"error: cannot write standard output: {reason}\n"), args
 
 
 def _close_fd2():
