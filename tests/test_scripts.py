@@ -105,24 +105,58 @@ def test_cli_exits_quietly_on_a_closed_pipe(unbuffered):
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("stdout, reason", [
+def test_cli_demo_exits_quietly_on_a_closed_pipe(unbuffered):
+    # the bracket fixture in JSON, read back from its own wire texts
+    args = ["-m", "gradevote.cli", "demo", "bracket-bias", "--format", "json"]
+    assert _with_closed_stdout(args, unbuffered) == (1, "")
+
+
+BAD_STDOUTS = pytest.mark.parametrize("stdout, reason", [
     ("closed", "it is closed"), ("full", "No space left on device"),
 ], ids=["closed", "full"])
-def test_cli_reports_a_stdout_it_cannot_write(tmp_path, stdout, reason, unbuffered):
-    # before, a traceback: AttributeError on a closed fd 1, OSError on a full one
+
+
+def _cli_on_a_bad_stdout(tmp_path, stdout, unbuffered, *args):
+    """Exit status and standard error of the CLI run on a closed or full fd 1."""
     if stdout == "full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this platform")
-    (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\n")
     target = {"closed": lambda: os.close(1),
               "full": lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 1)}[stdout]
-    for args in (["tally", "--method", "mj3", "--ballots", "b.csv"], ["demo", "school"]):
-        child = subprocess.run(
-            [sys.executable, "-m", "gradevote.cli", *args], cwd=tmp_path,
-            env=_child_env(PYTHONUNBUFFERED=unbuffered), stderr=subprocess.PIPE, text=True,
-            timeout=60, preexec_fn=target,
-        )
-        assert (child.returncode, child.stderr) == (
-            1, f"error: cannot write standard output: {reason}\n"), args
+    child = subprocess.run(
+        [sys.executable, "-m", "gradevote.cli", *args], cwd=tmp_path,
+        env=_child_env(PYTHONUNBUFFERED=unbuffered), stderr=subprocess.PIPE, text=True,
+        timeout=60, preexec_fn=target,
+    )
+    return child.returncode, child.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@BAD_STDOUTS
+def test_cli_reports_a_stdout_it_cannot_write(tmp_path, stdout, reason, unbuffered):
+    # before, a traceback: AttributeError on a closed fd 1, OSError on a full one
+    (tmp_path / "b.csv").write_text("voter_id,candidate,grade\nv1,a,positive\n")
+    assert _cli_on_a_bad_stdout(
+        tmp_path, stdout, unbuffered, "tally", "--method", "mj3", "--ballots", "b.csv",
+    ) == (1, f"error: cannot write standard output: {reason}\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@BAD_STDOUTS
+def test_cli_demo_reports_a_stdout_it_cannot_write(tmp_path, stdout, reason, unbuffered):
+    assert _cli_on_a_bad_stdout(tmp_path, stdout, unbuffered, "demo", "school") == (
+        1, f"error: cannot write standard output: {reason}\n")
+
+
+def test_cli_demo_reports_an_outdir_under_a_file(tmp_path):
+    # run as a child process, not through main(): no traceback escapes
+    (tmp_path / "file").write_text("")
+    child = subprocess.run(
+        [sys.executable, "-m", "gradevote.cli", "demo", "school", "--outdir", "file/x"],
+        cwd=tmp_path, env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (
+        1, "error: cannot write file/x: Not a directory\n")
 
 
 def _close_fd2():
