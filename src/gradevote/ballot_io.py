@@ -42,8 +42,12 @@ CRLF or CR.  Any other file (quoted, padded or with a row to reject) is read
 by the CSV reader, which stays the only code that names rejected rows.  Both
 walk the text in line-aligned slices (:func:`_slices`), so the proof holds no
 string per line of the whole text, and the CSV reader no second copy of it.
-The row checks of the proof run after its walk, so a quote-free file with a
-row to reject pays for the whole walk on top of the CSV reader.
+Besides the text and one slice, the proof holds the ``(candidate, grade)``
+tally and one bit mask of candidates per voter, or past ``_MASK_WIDTH``
+candidates a ``"voter,candidate"`` string per row.  It checks each distinct
+``candidate,grade`` pair in the slice that first holds it, so a row to reject
+for its candidate, grade or fields ends the proof at that slice; a repeated
+pair or an empty voter is found after the walk.
 
 :func:`count_bracket_ballots` counts a bracket document the same way: one
 whose columns prove every entry valid is counted from them, and any other is
@@ -297,9 +301,10 @@ def count_ballots(
     but line ends) is counted from its lines, whether they end in LF, CRLF or
     CR (:func:`_count_lines`), any other from the columns of
     :func:`_read_csv`.  Counting a clean file holds at once the text, the
-    lines of one slice of it, the ``(candidate, grade)`` tally, the set of
-    voters and the set of ``"voter,candidate"`` heads.  JSON nested too deep
-    or holding an over-long integer raises :class:`ValidationError`.
+    lines of one slice of it, the ``(candidate, grade)`` tally and one mask
+    of candidates per voter; only past ``_MASK_WIDTH`` candidates, the set of
+    ``"voter,candidate"`` heads instead.  JSON nested too deep or holding an
+    over-long integer raises :class:`ValidationError`.
     """
     text = _read_text(source)
     if _is_json(source, text):
@@ -342,6 +347,11 @@ _ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 #: the least number of characters in a slice of :func:`_slices`
 _SLICE = 1 << 17
 
+#: the most candidates whose ``(voter, candidate)`` pairs :func:`_count_lines`
+#: checks with a bit mask per voter: an OR costs time in the width of its
+#: masks, so a wider roster checks a set of pair strings instead
+_MASK_WIDTH = 64
+
 
 def _slices(text: str) -> Iterator[str]:
     """The text in slices of at least ``_SLICE`` characters (the last may be
@@ -372,12 +382,20 @@ def _count_lines(
     The rows are then walked one slice of :func:`_slices` at a time, so
     besides the text only one slice's lines are held at once, with what the
     walk keeps: the tally of ``"candidate,grade"`` tails (from
-    ``str.partition``, in first-appearance order), the set of voters, and the
-    set of ``"voter,candidate"`` heads (from ``str.rpartition``), where a
-    repeated ``(voter, candidate)`` pair is a repeated head.  Blank lines are
-    skipped, as ``_read_csv`` skips them.  The row checks run after the walk,
-    once per distinct tail, over the heads and over the voters; the first
-    that fails ends the proof.
+    ``str.partition``, in first-appearance order) and one int per voter, a
+    mask with bit i set where the voter grades the i-th candidate the text
+    names.  Blank lines are skipped, as ``_read_csv`` skips them.  Each tail
+    is checked in the slice that first holds it (three fields, none over the
+    csv field limit, a candidate and grade of the roster), so a bad tail ends
+    the proof there.
+    After the walk, the ``(voter, candidate)`` pairs are distinct when the
+    masks hold one bit per row, and the voters are checked.
+
+    A mask costs time in the number of its bits, so in the slice where the
+    text names candidate ``_MASK_WIDTH + 1`` the walk ends the proof if the
+    masks hold fewer bits than the rows before, and else turns them into the
+    set of ``"voter,candidate"`` heads (``str.rpartition`` of a row) and
+    keeps that instead; a repeated pair is then a repeated head.
     """
     if '"' in text or "\0" in text:
         return None
@@ -389,32 +407,63 @@ def _count_lines(
     header = ",".join(BALLOT_CSV_HEADER)
     if text[:len(header) + 1].splitlines()[:1] != [header]:  # the first line
         return None
+    limit = csv.field_size_limit()  # a longer field is an error of csv's
+    registered = {c.id: c for c in candidates}
     tails: Counter = Counter()
-    voters: set[str] = set()
-    heads: set[str] = set()
+    cids: dict[str, int] = {}  # each candidate named, with its position
+    bits: dict[str, int] = {}  # each tail, with its candidate's bit in a mask
+    masks: dict[str, int] = {}  # each voter, with its mask
+    heads: set[str] | None = None  # past _MASK_WIDTH candidates
+    voters: "dict[str, int] | set[str]" = masks
     n_rows, skip = 0, 1  # the first slice starts with the header line
     for piece in _slices(text):
         rows = list(filter(None, islice(piece.splitlines(), skip, None)))
         skip = 0
-        n_rows += len(rows)
         parts = list(map(str.partition, rows, repeat(",")))
+        seen = len(tails)
         tails.update(map(itemgetter(2), parts))
-        voters.update(map(itemgetter(0), parts))
-        heads.update(map(itemgetter(0), map(str.rpartition, rows, repeat(","))))
-    limit = csv.field_size_limit()  # a longer field is an error of csv's
-    tally: Counter = Counter()
-    for tail, n in tails.items():
-        cid, comma, grade = tail.partition(",")
-        if not comma or "," in grade or max(len(cid), len(grade)) > limit:
-            return None  # a ragged row, or a field the csv reader refuses
-        tally[cid, grade] = n
-    known, wrong = _roster(tally, scale, candidates)
-    if wrong or not n_rows or len(heads) != n_rows:
+        # the tails new in this slice, in first-appearance order
+        for tail in list(islice(reversed(tails), len(tails) - seen))[::-1]:
+            cid, comma, grade = tail.partition(",")
+            if (not comma or "," in grade or max(len(cid), len(grade)) > limit
+                    or (cid not in registered if registered else not cid)
+                    or grade not in scale.labels):
+                return None  # a row that _read_csv rejects, or csv refuses
+            position = cids.setdefault(cid, len(cids))
+            if position < _MASK_WIDTH:
+                bits[tail] = 1 << position
+        if heads is None and len(cids) > _MASK_WIDTH:
+            if sum(map(int.bit_count, masks.values())) != n_rows:
+                return None  # a repeated pair
+            heads, voters = _heads(masks, list(cids)), set(masks)
+        if heads is None:
+            get = masks.get
+            for voter, _, tail in parts:
+                masks[voter] = get(voter, 0) | bits[tail]
+        else:
+            voters.update(map(itemgetter(0), parts))
+            heads.update(map(itemgetter(0), map(str.rpartition, rows, repeat(","))))
+        n_rows += len(rows)
+    pairs = len(heads) if heads is not None else sum(map(int.bit_count, masks.values()))
+    if not n_rows or pairs != n_rows:
         return None
     if "" in voters or max(map(len, voters)) > limit:
         return None
+    tally = Counter({tuple(tail.split(",")): n for tail, n in tails.items()})
     report = ParseReport(n_rows=n_rows, n_ballots=len(voters))
-    return tally, report, tuple(known.values())
+    return tally, report, tuple(registered.values()) or tuple(map(Candidate, cids))
+
+
+def _heads(masks: dict[str, int], names: list[str]) -> set[str]:
+    """The ``"voter,candidate"`` head of each pair in ``masks``, where bit i
+    of a voter's mask stands for the candidate ``names[i]``."""
+    heads = set()
+    for voter, mask in masks.items():
+        while mask:
+            i = mask.bit_length() - 1
+            heads.add(f"{voter},{names[i]}")
+            mask ^= 1 << i
+    return heads
 
 
 def _roster(
@@ -443,7 +492,9 @@ def _read_csv(
     each through its own ``newline=""`` stream, so the whole text is never
     held twice.  A slice ends only where such a stream ends a line, so the
     lines, and the records made of them (a quoted cell's CR or LF included),
-    are those of the whole text.
+    are those of the whole text.  The header is checked from the first
+    record, before any other is read, so a malformed header is the error
+    even where a later record is not valid CSV.
 
     The checks run in the order a row-by-row reader would apply them: blank
     or ragged row, empty voter, unknown candidate (after roster inference),
@@ -453,20 +504,22 @@ def _read_csv(
     the rows, to give each its row number and reason, and drops them before
     the next check; a row thus gets at most one issue.
     """
+    records = csv.reader(chain.from_iterable(
+        io.StringIO(piece, newline="") for piece in _slices(text)))
+    report = ParseReport()
     try:
-        rows = list(csv.reader(chain.from_iterable(
-            io.StringIO(piece, newline="") for piece in _slices(text))))
+        first = next(records, None)
+        if first is None:
+            report.notes.append("empty input: no ballots")
+            return [[], [], []], Counter(), report, tuple(candidates)
+        header = tuple(cell.strip() for cell in first)
+        if header != BALLOT_CSV_HEADER:
+            raise ValidationError(
+                f"malformed header {header!r}; expected {BALLOT_CSV_HEADER!r}"
+            )
+        rows = list(records)
     except csv.Error as exc:
         raise ValidationError(f"ballots are not valid CSV: {exc}") from None
-    report = ParseReport()
-    if not rows:
-        report.notes.append("empty input: no ballots")
-        return [[], [], []], Counter(), report, tuple(candidates)
-    header = tuple(cell.strip() for cell in rows.pop(0))
-    if header != BALLOT_CSV_HEADER:
-        raise ValidationError(
-            f"malformed header {header!r}; expected {BALLOT_CSV_HEADER!r}"
-        )
     issues = report.issues
     report.n_rows = len(rows)  # less the blank rows, which are skipped
     lines: Sequence[int] = range(2, len(rows) + 2)

@@ -4,19 +4,20 @@ row-by-row reference.
 Both public readers take the columns of one column-wise pass over a CSV file;
 ``count_ballots`` first tries to count a clean file from its lines alone.
 On any input they must return what the row-by-row reader below (the reader
-they replaced, kept verbatim) makes of it: the same ballots, or the counts
-``build_profiles`` makes of them, with the same report, issue order and
-roster, and ``gradevote tally`` must print the same bytes as when it ran on
-that reference.  Both readers walk the text in line-aligned slices; with the
-slice size patched small, so that slices end at nearly every line, they must
-still read every text alike.
+they replaced, which now takes its records one at a time, so that a
+malformed header is found before a later record is read) makes of it: the
+same ballots, or the counts ``build_profiles`` makes of them, with the same
+report, issue order and roster, and ``gradevote tally`` must print the same
+bytes as when it ran on that reference.  Both readers walk the text in
+line-aligned slices; with the slice size patched small, so that slices end
+at nearly every line, they must still read every text alike.
 """
 
 import csv
 import io
 import json
 import tracemalloc
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from itertools import product
 
@@ -48,21 +49,15 @@ from gradevote.fixtures import FIXTURES
 # the row-by-row reference
 # ---------------------------------------------------------------------------
 
-def _csv_rows(text: str) -> list[list[str]]:
-    try:
-        return list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:
-        raise ValidationError(f"ballots are not valid CSV: {exc}") from None
-
-
 def _parse_ballots_csv(
-    rows: list[list[str]], scale: GradeScale, candidates: Sequence[Candidate]
+    rows: Iterator[list[str]], scale: GradeScale, candidates: Sequence[Candidate]
 ) -> tuple[list[Ballot], ParseReport, tuple[Candidate, ...]]:
     report = ParseReport()
-    if not rows:
+    first = next(rows, None)
+    if first is None:
         report.notes.append("empty input: no ballots")
         return [], report, tuple(candidates)
-    header = tuple(cell.strip() for cell in rows[0])
+    header = tuple(cell.strip() for cell in first)
     if header != BALLOT_CSV_HEADER:
         raise ValidationError(
             f"malformed header {header!r}; expected {BALLOT_CSV_HEADER!r}"
@@ -71,7 +66,7 @@ def _parse_ballots_csv(
     infer = not registered
     roster: dict[str, Candidate] = dict(registered)
     grades: dict[str, dict[str, str]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         report.n_rows += 1
@@ -116,7 +111,13 @@ def reference_parse(source, scale, candidates=()):
     text = ballot_io._read_text(source)
     if ballot_io._is_json(source, text):
         return ballot_io._parse_ballots_json(text, scale, candidates)
-    return _parse_ballots_csv(_csv_rows(text), scale, candidates)
+    # the rows are read one at a time, so the header is checked before a
+    # later record can be refused as CSV
+    try:
+        return _parse_ballots_csv(
+            csv.reader(io.StringIO(text, newline="")), scale, candidates)
+    except csv.Error as exc:
+        raise ValidationError(f"ballots are not valid CSV: {exc}") from None
 
 
 def reference_count(source, scale, candidates=()):
@@ -327,30 +328,47 @@ def test_quoted_line_ends_in_cells_read_alike_in_any_slices(end):
         assert ([b.voter_id for b in ballots], report.ok) == (voters, True), size
 
 
+def _peak(run):
+    """The most memory ``run()`` holds at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _counted_peak(text):
+    """The peak of counting a clean text, its own read of the text included,
+    and of the list of the text's lines, which the walk never builds."""
+    source = io.StringIO(text)
+    with _csv_reader_refused():
+        counted = _peak(lambda: count_ballots(source, GradeScale(LABELS[:3])))
+    return counted, _peak(text.splitlines)
+
+
 def test_the_counted_path_holds_one_slice_of_lines_at_a_time(monkeypatch):
-    """Counting a clean text, its own read of the text included, holds less
-    at once than the head set it keeps plus the list of the text's lines,
-    which the walk never builds.  Slices of 4,096 characters keep the one
-    slice small beside 20,000 rows."""
+    """Counting a clean text holds less at once than the list of the text's
+    lines: one mask per voter, not one string per row.  Slices of 4,096
+    characters keep the one slice small beside 20,000 rows."""
     monkeypatch.setattr(ballot_io, "_SLICE", 1 << 12)
     text = HEADER + "".join(f"v{v:05d},{cid},{LABELS[(v + i) % 3]}\n"
                             for v in range(4_000) for i, cid in enumerate("abcde"))
+    counted, lines = _counted_peak(text)
+    assert counted < lines, (counted, lines)
+
+
+def test_a_roster_past_the_mask_width_holds_lines_and_heads_at_most(monkeypatch):
+    """Past ``_MASK_WIDTH`` candidates the walk keeps a ``"voter,candidate"``
+    head per row, but still holds less than those heads and the list of the
+    text's lines together."""
+    monkeypatch.setattr(ballot_io, "_SLICE", 1 << 12)
+    width = ballot_io._MASK_WIDTH + 36
+    text = HEADER + "".join(f"v{v:05d},c{c:03d},{LABELS[(v + c) % 3]}\n"
+                            for v in range(200) for c in range(width))
     rows = text.splitlines()[1:]
-    source = io.StringIO(text)
-    scale = GradeScale(LABELS[:3])
-
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    lines = peak(text.splitlines)
-    heads = peak(lambda: {row.rpartition(",")[0] for row in rows})
-    with _csv_reader_refused():
-        counted = peak(lambda: count_ballots(source, scale))
+    heads = _peak(lambda: {row.rpartition(",")[0] for row in rows})
+    counted, lines = _counted_peak(text)
     assert counted < lines + heads, (counted, lines, heads)
 
 
@@ -579,6 +597,137 @@ def test_blank_lines_are_skipped_on_the_counted_path():
         text = f"{HEADER}\nv1,a,top\n\n\nv2,b,fair\n\n".replace("\n", end)
         report = _counted_like_reference(text, GradeScale(LABELS[:3]))[1]
         assert (report.n_rows, report.ok) == (2, True)
+
+
+# ---------------------------------------------------------------------------
+# the width edge: pairs checked by mask up to _MASK_WIDTH candidates, by head
+# set past it
+# ---------------------------------------------------------------------------
+
+#: rows of long voter ids enough for a text to span two slices of the
+#: default size, and few enough to walk quickly at the small sizes
+FILLER_ROWS = 700
+FILLER_ID = "w" * 200
+
+
+def _edge_rows(width, late):
+    """The rows of a clean text that names ``width`` candidates: voter v0
+    grades them all in its first rows, or all but the last, which it grades
+    in the text's last row when ``late``.  Between them, one-row voters fill
+    the text past the default slice size."""
+    ids = [f"c{c + 1}" for c in range(width)]
+    rows = [f"v0,{cid},{LABELS[c % 3]}" for c, cid in enumerate(ids[:-1] if late else ids)]
+    rows += [f"{FILLER_ID}{v:03d},c1,{LABELS[v % 3]}" for v in range(FILLER_ROWS)]
+    if late:
+        rows.append(f"v0,{ids[-1]},fair")
+    return ids, rows
+
+
+def _first_slice_rows(text):
+    """How many rows the first slice of the default size holds."""
+    return next(ballot_io._slices(text)).count("\n") - 1
+
+
+EDGES = {"64": (64, False), "65": (65, False), "65 named late": (65, True)}
+
+
+@pytest.mark.parametrize("edge", list(EDGES))
+@pytest.mark.parametrize("registered", [False, True])
+def test_rosters_at_the_mask_width_count_like_the_reference(edge, registered):
+    ids, rows = _edge_rows(*EDGES[edge])
+    text = HEADER + "\n".join(rows) + "\n"
+    assert len(next(ballot_io._slices(text))) < len(text)  # two slices at least
+    candidates = tuple(map(Candidate, ids)) if registered else ()
+    _reads_like_reference(text, GradeScale(LABELS[:3]), candidates)
+    election, report, roster = _counted_like_reference(
+        text, GradeScale(LABELS[:3]), candidates)
+    assert [c.id for c in roster] == ids
+    assert (report.n_rows, report.n_ballots) == (len(rows), FILLER_ROWS + 1)
+
+
+@pytest.mark.parametrize("edge", list(EDGES))
+@pytest.mark.parametrize("where", ["first slice", "last slice", "slice boundary"])
+@pytest.mark.parametrize("grade", ["same", "other"])
+def test_a_pair_repeated_at_the_mask_width_is_read_like_the_reference(edge, where, grade):
+    """One ``(voter, candidate)`` pair twice, with the same grade or another:
+    both rows in the first slice, the repeat in the last, or the two rows on
+    either side of the first slice's end."""
+    _, rows = _edge_rows(*EDGES[edge])
+    cut = _first_slice_rows(HEADER + "\n".join(rows) + "\n")
+    at, then = {"first slice": (1, 2), "last slice": (0, len(rows)),
+                "slice boundary": (cut - 1, cut)}[where]
+    voter, cid, label = rows[at].split(",")
+    if grade == "other":
+        label = LABELS[(LABELS.index(label) + 1) % 3]
+    rows.insert(then, f"{voter},{cid},{label}")
+    text = HEADER + "\n".join(rows) + "\n"
+    if where == "slice boundary":
+        assert _first_slice_rows(text) == cut  # the repeat opens the next slice
+    _reads_like_reference(text, GradeScale(LABELS[:3]), ())
+    report = count_ballots(io.StringIO(text), GradeScale(LABELS[:3]))[1]
+    assert report.issues == [ParseIssue(then + 2, voter,
+                                        f"duplicate grade for candidate {cid!r}")]
+
+
+def _drawn_slices(monkeypatch):
+    """A list that gets, for each walk over ``_slices``, how many slices it
+    drew."""
+    drawn = []
+    slices = ballot_io._slices
+
+    def counted(text):
+        drawn.append(0)
+        for piece in slices(text):
+            drawn[-1] += 1
+            yield piece
+
+    monkeypatch.setattr(ballot_io, "_slices", counted)
+    return drawn
+
+
+def test_a_rejected_row_in_the_first_slice_ends_the_walk_there(monkeypatch):
+    """A quote-free text whose first slice holds an unregistered candidate
+    goes to the CSV reader after the walk has drawn that one slice."""
+    ids, rows = _edge_rows(3, False)
+    rows.insert(5, "v1,zz,top")
+    text = HEADER + "\n".join(rows) + "\n"
+    scale, candidates = GradeScale(LABELS[:3]), tuple(map(Candidate, ids))
+    n_slices = len(list(ballot_io._slices(text)))
+    drawn = _drawn_slices(monkeypatch)
+    got = count_ballots(io.StringIO(text), scale, candidates)
+    assert (drawn, n_slices > 1) == ([1, n_slices], True)
+    assert got == reference_count(io.StringIO(text), scale, candidates)
+    assert got[1].issues == [ParseIssue(7, "v1", "unknown candidate 'zz'")]
+
+
+def test_a_pair_repeated_before_the_mask_width_ends_the_walk_there(monkeypatch):
+    """A pair repeated while the masks hold the pairs is found when the text
+    names one candidate more than they can hold, not at the end of the walk."""
+    ids, rows = _edge_rows(65, False)
+    rows.insert(1, rows[0])  # v0,c1 twice, both in the first slice
+    text = HEADER + "\n".join(rows) + "\n"
+    scale = GradeScale(LABELS[:3])
+    monkeypatch.setattr(ballot_io, "_SLICE", 1 << 9)
+    pieces = list(ballot_io._slices(text))
+    at = next(i for i, piece in enumerate(pieces) if "v0,c65," in piece)
+    drawn = _drawn_slices(monkeypatch)
+    report = count_ballots(io.StringIO(text), scale)[1]
+    assert (drawn, at + 1 < len(pieces)) == ([at + 1, len(pieces)], True)
+    assert report.issues == [ParseIssue(3, "v0", "duplicate grade for candidate 'c1'")]
+
+
+def test_a_malformed_header_is_found_before_a_later_record_is_read():
+    """The header is the first record: its error wins over a later field
+    that the csv module refuses, however many slices lie between them."""
+    _, rows = _edge_rows(3, False)
+    text = "voter,candidate,grade\n" + "\n".join(rows) + "\nv9,a," + "x" * (
+        csv.field_size_limit() + 1) + "\n"
+    assert "x" not in next(ballot_io._slices(text))  # a later slice holds it
+    scale = GradeScale(LABELS[:3])
+    for read in (count_ballots, parse_ballots):
+        with pytest.raises(ValidationError, match="^malformed header"):
+            read(io.StringIO(text), scale)
+    _reads_like_reference(text, scale, ())
 
 
 @pytest.mark.parametrize("name", ["smalltown", "school3"])
