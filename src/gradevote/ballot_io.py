@@ -43,8 +43,8 @@ by the CSV reader, which stays the only code that names rejected rows.  Both
 walk the text in line-aligned slices (:func:`_slices`), so the proof holds no
 string per line of the whole text, and the CSV reader no second copy of it.
 Besides the text and one slice, the proof holds the ``(candidate, grade)``
-tally and one bit mask of candidates per voter, or past ``_MASK_WIDTH``
-candidates a ``"voter,candidate"`` string per row.  It checks each distinct
+tally and bit masks of the candidates each voter grades, one per block of 64
+candidates the voter grades any of.  It checks each distinct
 ``candidate,grade`` pair in the slice that first holds it, so a row to reject
 for its candidate, grade or fields ends the proof at that slice; a repeated
 pair or an empty voter is found after the walk.
@@ -64,7 +64,7 @@ import gc
 import io
 import json
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, itemgetter, not_
@@ -302,9 +302,8 @@ def count_ballots(
     CR (:func:`_count_lines`), any other from the columns of
     :func:`_read_csv`.  Counting a clean file holds at once the text, the
     lines of one slice of it, the ``(candidate, grade)`` tally and one mask
-    of candidates per voter; only past ``_MASK_WIDTH`` candidates, the set of
-    ``"voter,candidate"`` heads instead.  JSON nested too deep or holding an
-    over-long integer raises :class:`ValidationError`.
+    of candidates per voter and block of ``_BLOCK`` candidates.  JSON nested
+    too deep or holding an over-long integer raises :class:`ValidationError`.
     """
     text = _read_text(source)
     if _is_json(source, text):
@@ -347,10 +346,9 @@ _ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 #: the least number of characters in a slice of :func:`_slices`
 _SLICE = 1 << 17
 
-#: the most candidates whose ``(voter, candidate)`` pairs :func:`_count_lines`
-#: checks with a bit mask per voter: an OR costs time in the width of its
-#: masks, so a wider roster checks a set of pair strings instead
-_MASK_WIDTH = 64
+#: the candidates of one block of :func:`_count_lines`' masks: a mask of the
+#: whole roster would cost time and memory in the roster's width
+_BLOCK = 64
 
 
 def _slices(text: str) -> Iterator[str]:
@@ -382,20 +380,16 @@ def _count_lines(
     The rows are then walked one slice of :func:`_slices` at a time, so
     besides the text only one slice's lines are held at once, with what the
     walk keeps: the tally of ``"candidate,grade"`` tails (from
-    ``str.partition``, in first-appearance order) and one int per voter, a
-    mask with bit i set where the voter grades the i-th candidate the text
-    names.  Blank lines are skipped, as ``_read_csv`` skips them.  Each tail
-    is checked in the slice that first holds it (three fields, none over the
-    csv field limit, a candidate and grade of the roster), so a bad tail ends
-    the proof there.
-    After the walk, the ``(voter, candidate)`` pairs are distinct when the
-    masks hold one bit per row, and the voters are checked.
-
-    A mask costs time in the number of its bits, so in the slice where the
-    text names candidate ``_MASK_WIDTH + 1`` the walk ends the proof if the
-    masks hold fewer bits than the rows before, and else turns them into the
-    set of ``"voter,candidate"`` heads (``str.rpartition`` of a row) and
-    keeps that instead; a repeated pair is then a repeated head.
+    ``str.partition``, in first-appearance order) and the masks.  The i-th
+    candidate the text names is bit ``i % _BLOCK`` of block ``i // _BLOCK``,
+    a dict that maps each voter grading any of that block's candidates to
+    its mask of them, so no OR costs more than a few machine words, however
+    wide the roster.  Blank lines are skipped, as ``_read_csv`` skips them.
+    Each tail is checked in the slice that first holds it (three fields, none
+    over the csv field limit, a candidate and grade that :func:`_roster`
+    keeps), so a bad tail ends the proof there.  After the walk, the
+    ``(voter, candidate)`` pairs are distinct when the masks hold one bit per
+    row, and the voters are checked.
     """
     if '"' in text or "\0" in text:
         return None
@@ -408,13 +402,11 @@ def _count_lines(
     if text[:len(header) + 1].splitlines()[:1] != [header]:  # the first line
         return None
     limit = csv.field_size_limit()  # a longer field is an error of csv's
-    registered = {c.id: c for c in candidates}
     tails: Counter = Counter()
     cids: dict[str, int] = {}  # each candidate named, with its position
-    bits: dict[str, int] = {}  # each tail, with its candidate's bit in a mask
-    masks: dict[str, int] = {}  # each voter, with its mask
-    heads: set[str] | None = None  # past _MASK_WIDTH candidates
-    voters: "dict[str, int] | set[str]" = masks
+    bits: dict[str, tuple[dict[str, int], int]] = {}  # each tail: block, bit
+    blocks: list[dict[str, int]] = []  # each block: voter -> mask
+    roster: dict[str, Candidate] = {}  # the candidates in effect, by id
     n_rows, skip = 0, 1  # the first slice starts with the header line
     for piece in _slices(text):
         rows = list(filter(None, islice(piece.splitlines(), skip, None)))
@@ -423,61 +415,47 @@ def _count_lines(
         seen = len(tails)
         tails.update(map(itemgetter(2), parts))
         # the tails new in this slice, in first-appearance order
-        for tail in list(islice(reversed(tails), len(tails) - seen))[::-1]:
-            cid, comma, grade = tail.partition(",")
-            if (not comma or "," in grade or max(len(cid), len(grade)) > limit
-                    or (cid not in registered if registered else not cid)
-                    or grade not in scale.labels):
-                return None  # a row that _read_csv rejects, or csv refuses
-            position = cids.setdefault(cid, len(cids))
-            if position < _MASK_WIDTH:
-                bits[tail] = 1 << position
-        if heads is None and len(cids) > _MASK_WIDTH:
-            if sum(map(int.bit_count, masks.values())) != n_rows:
-                return None  # a repeated pair
-            heads, voters = _heads(masks, list(cids)), set(masks)
-        if heads is None:
-            get = masks.get
-            for voter, _, tail in parts:
-                masks[voter] = get(voter, 0) | bits[tail]
-        else:
-            voters.update(map(itemgetter(0), parts))
-            heads.update(map(itemgetter(0), map(str.rpartition, rows, repeat(","))))
+        new = list(islice(reversed(tails), len(tails) - seen))[::-1]
+        keys = [tail.split(",") for tail in new]
+        if set(map(len, keys)) - {2} or max(
+                map(len, chain.from_iterable(keys)), default=0) > limit:
+            return None  # a ragged row, or a field that csv refuses
+        known, wrong = _roster(keys, scale, candidates)
+        if wrong:
+            return None  # an unknown candidate or grade
+        roster.update(known)
+        for tail, (cid, _) in zip(new, keys):
+            block, bit = divmod(cids.setdefault(cid, len(cids)), _BLOCK)
+            if block == len(blocks):
+                blocks.append({})
+            bits[tail] = blocks[block], 1 << bit
+        for voter, _, tail in parts:
+            masks, bit = bits[tail]
+            masks[voter] = masks.get(voter, 0) | bit
         n_rows += len(rows)
-    pairs = len(heads) if heads is not None else sum(map(int.bit_count, masks.values()))
-    if not n_rows or pairs != n_rows:
-        return None
+    if not n_rows or sum(map(int.bit_count, chain.from_iterable(
+            map(dict.values, blocks)))) != n_rows:
+        return None  # no row, or a repeated pair
+    voters = blocks[0] if len(blocks) == 1 else set().union(*blocks)
     if "" in voters or max(map(len, voters)) > limit:
         return None
     tally = Counter({tuple(tail.split(",")): n for tail, n in tails.items()})
     report = ParseReport(n_rows=n_rows, n_ballots=len(voters))
-    return tally, report, tuple(registered.values()) or tuple(map(Candidate, cids))
-
-
-def _heads(masks: dict[str, int], names: list[str]) -> set[str]:
-    """The ``"voter,candidate"`` head of each pair in ``masks``, where bit i
-    of a voter's mask stands for the candidate ``names[i]``."""
-    heads = set()
-    for voter, mask in masks.items():
-        while mask:
-            i = mask.bit_length() - 1
-            heads.add(f"{voter},{names[i]}")
-            mask ^= 1 << i
-    return heads
+    return tally, report, tuple(roster.values())
 
 
 def _roster(
-    tally: Counter, scale: GradeScale, candidates: Sequence[Candidate]
-) -> tuple[dict[str, Candidate], list[tuple[str, str]]]:
-    """The candidates in effect, by id, and the keys of a ``(candidate,
-    grade)`` tally that name a candidate or grade outside them.
+    keys: Collection[Sequence[str]], scale: GradeScale, candidates: Sequence[Candidate]
+) -> tuple[dict[str, Candidate], list[Sequence[str]]]:
+    """The candidates in effect, by id, and the ``(candidate, grade)`` keys,
+    such as a tally's, that name a candidate or grade outside them.
 
-    Without registered candidates every non-empty candidate of the tally is
-    in effect, in first-appearance order: the order of the tally's keys.
+    Without registered candidates every non-empty candidate of the keys is
+    in effect, in first-appearance order: the order of the keys.
     """
     registered = {c.id: c for c in candidates}
-    known = registered or {cid: Candidate(cid) for cid, _ in tally if cid}
-    wrong = [key for key in tally if key[0] not in known or key[1] not in scale.labels]
+    known = registered or {cid: Candidate(cid) for cid, _ in keys if cid}
+    wrong = [key for key in keys if key[0] not in known or key[1] not in scale.labels]
     return known, wrong
 
 

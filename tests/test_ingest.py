@@ -358,18 +358,15 @@ def test_the_counted_path_holds_one_slice_of_lines_at_a_time(monkeypatch):
     assert counted < lines, (counted, lines)
 
 
-def test_a_roster_past_the_mask_width_holds_lines_and_heads_at_most(monkeypatch):
-    """Past ``_MASK_WIDTH`` candidates the walk keeps a ``"voter,candidate"``
-    head per row, but still holds less than those heads and the list of the
-    text's lines together."""
+def test_a_roster_of_two_blocks_holds_less_than_its_lines(monkeypatch):
+    """Past ``_BLOCK`` candidates a voter's pairs take one mask per block,
+    so a wide roster too holds less at once than the list of the lines."""
     monkeypatch.setattr(ballot_io, "_SLICE", 1 << 12)
-    width = ballot_io._MASK_WIDTH + 36
+    width = ballot_io._BLOCK + 36
     text = HEADER + "".join(f"v{v:05d},c{c:03d},{LABELS[(v + c) % 3]}\n"
                             for v in range(200) for c in range(width))
-    rows = text.splitlines()[1:]
-    heads = _peak(lambda: {row.rpartition(",")[0] for row in rows})
     counted, lines = _counted_peak(text)
-    assert counted < lines + heads, (counted, lines, heads)
+    assert counted < lines, (counted, lines)
 
 
 def test_rejected_row_numbers_count_csv_records_not_lines(tmp_path, capsys):
@@ -600,8 +597,8 @@ def test_blank_lines_are_skipped_on_the_counted_path():
 
 
 # ---------------------------------------------------------------------------
-# the width edge: pairs checked by mask up to _MASK_WIDTH candidates, by head
-# set past it
+# the block edge: the 65th candidate a text names opens a second block of
+# masks
 # ---------------------------------------------------------------------------
 
 #: rows of long voter ids enough for a text to span two slices of the
@@ -610,16 +607,16 @@ FILLER_ROWS = 700
 FILLER_ID = "w" * 200
 
 
-def _edge_rows(width, late):
+def _edge_rows(width, late=None):
     """The rows of a clean text that names ``width`` candidates: voter v0
-    grades them all in its first rows, or all but the last, which it grades
-    in the text's last row when ``late``.  Between them, one-row voters fill
-    the text past the default slice size."""
+    grades them all in its first rows, or all but the last, which voter
+    ``late`` grades in the text's last row.  Between them, one-row voters
+    fill the text past the default slice size."""
     ids = [f"c{c + 1}" for c in range(width)]
     rows = [f"v0,{cid},{LABELS[c % 3]}" for c, cid in enumerate(ids[:-1] if late else ids)]
     rows += [f"{FILLER_ID}{v:03d},c1,{LABELS[v % 3]}" for v in range(FILLER_ROWS)]
     if late:
-        rows.append(f"v0,{ids[-1]},fair")
+        rows.append(f"{late},{ids[-1]},fair")
     return ids, rows
 
 
@@ -628,12 +625,13 @@ def _first_slice_rows(text):
     return next(ballot_io._slices(text)).count("\n") - 1
 
 
-EDGES = {"64": (64, False), "65": (65, False), "65 named late": (65, True)}
+EDGES = {"64": (64, None), "65": (65, None), "65 named late": (65, "v0"),
+         "65 by a voter of its own": (65, "v1")}
 
 
 @pytest.mark.parametrize("edge", list(EDGES))
 @pytest.mark.parametrize("registered", [False, True])
-def test_rosters_at_the_mask_width_count_like_the_reference(edge, registered):
+def test_rosters_at_the_block_edge_count_like_the_reference(edge, registered):
     ids, rows = _edge_rows(*EDGES[edge])
     text = HEADER + "\n".join(rows) + "\n"
     assert len(next(ballot_io._slices(text))) < len(text)  # two slices at least
@@ -642,20 +640,24 @@ def test_rosters_at_the_mask_width_count_like_the_reference(edge, registered):
     election, report, roster = _counted_like_reference(
         text, GradeScale(LABELS[:3]), candidates)
     assert [c.id for c in roster] == ids
-    assert (report.n_rows, report.n_ballots) == (len(rows), FILLER_ROWS + 1)
+    voters = FILLER_ROWS + (2 if EDGES[edge][1] == "v1" else 1)
+    assert (report.n_rows, report.n_ballots) == (len(rows), voters)
 
 
 @pytest.mark.parametrize("edge", list(EDGES))
-@pytest.mark.parametrize("where", ["first slice", "last slice", "slice boundary"])
+@pytest.mark.parametrize("where", ["first slice", "last slice", "slice boundary",
+                                   "last candidate"])
 @pytest.mark.parametrize("grade", ["same", "other"])
-def test_a_pair_repeated_at_the_mask_width_is_read_like_the_reference(edge, where, grade):
+def test_a_pair_repeated_at_the_block_edge_is_read_like_the_reference(edge, where, grade):
     """One ``(voter, candidate)`` pair twice, with the same grade or another:
-    both rows in the first slice, the repeat in the last, or the two rows on
-    either side of the first slice's end."""
-    _, rows = _edge_rows(*EDGES[edge])
+    both rows in the first slice, the repeat in the last, the two rows on
+    either side of the first slice's end, or the pair with the last
+    candidate named (in the second block past 64) repeated at the end."""
+    ids, rows = _edge_rows(*EDGES[edge])
     cut = _first_slice_rows(HEADER + "\n".join(rows) + "\n")
+    last = next(i for i, row in enumerate(rows) if row.split(",")[1] == ids[-1])
     at, then = {"first slice": (1, 2), "last slice": (0, len(rows)),
-                "slice boundary": (cut - 1, cut)}[where]
+                "slice boundary": (cut - 1, cut), "last candidate": (last, len(rows))}[where]
     voter, cid, label = rows[at].split(",")
     if grade == "other":
         label = LABELS[(LABELS.index(label) + 1) % 3]
@@ -688,7 +690,7 @@ def _drawn_slices(monkeypatch):
 def test_a_rejected_row_in_the_first_slice_ends_the_walk_there(monkeypatch):
     """A quote-free text whose first slice holds an unregistered candidate
     goes to the CSV reader after the walk has drawn that one slice."""
-    ids, rows = _edge_rows(3, False)
+    ids, rows = _edge_rows(3)
     rows.insert(5, "v1,zz,top")
     text = HEADER + "\n".join(rows) + "\n"
     scale, candidates = GradeScale(LABELS[:3]), tuple(map(Candidate, ids))
@@ -700,26 +702,10 @@ def test_a_rejected_row_in_the_first_slice_ends_the_walk_there(monkeypatch):
     assert got[1].issues == [ParseIssue(7, "v1", "unknown candidate 'zz'")]
 
 
-def test_a_pair_repeated_before_the_mask_width_ends_the_walk_there(monkeypatch):
-    """A pair repeated while the masks hold the pairs is found when the text
-    names one candidate more than they can hold, not at the end of the walk."""
-    ids, rows = _edge_rows(65, False)
-    rows.insert(1, rows[0])  # v0,c1 twice, both in the first slice
-    text = HEADER + "\n".join(rows) + "\n"
-    scale = GradeScale(LABELS[:3])
-    monkeypatch.setattr(ballot_io, "_SLICE", 1 << 9)
-    pieces = list(ballot_io._slices(text))
-    at = next(i for i, piece in enumerate(pieces) if "v0,c65," in piece)
-    drawn = _drawn_slices(monkeypatch)
-    report = count_ballots(io.StringIO(text), scale)[1]
-    assert (drawn, at + 1 < len(pieces)) == ([at + 1, len(pieces)], True)
-    assert report.issues == [ParseIssue(3, "v0", "duplicate grade for candidate 'c1'")]
-
-
 def test_a_malformed_header_is_found_before_a_later_record_is_read():
     """The header is the first record: its error wins over a later field
     that the csv module refuses, however many slices lie between them."""
-    _, rows = _edge_rows(3, False)
+    _, rows = _edge_rows(3)
     text = "voter,candidate,grade\n" + "\n".join(rows) + "\nv9,a," + "x" * (
         csv.field_size_limit() + 1) + "\n"
     assert "x" not in next(ballot_io._slices(text))  # a later slice holds it
