@@ -15,10 +15,11 @@ Wire formats:
   marks, so brackets are JSON-only.)
 * Election config, JSON: ``{"method": ..., "scale": [...], "candidates":
   [{"id", "name", "party", "profession"}], "options": {"limit", "seed"}}``.
-* Results: a text table mirroring the classic presentation (rank, candidate,
-  one percentage column per grade, double rules at block boundaries), or JSON
-  / CSV documents carrying exact counts.  Table percentages are rounded
-  half-up to whole percent; machine formats are never rounded.
+* Results: a JSON document carrying every field with exact counts, built
+  once per result; the CSV (exact counts) and the text table mirroring the
+  classic presentation (rank, candidate, one percentage column per grade,
+  double rules at block boundaries) are views of it.  Table percentages are
+  rounded half-up to whole percent; machine formats are never rounded.
 
 Row-level problems (unknown grade, unknown candidate, duplicate marks) reject
 the row and are reported; they never silently drop a voter's other valid
@@ -643,13 +644,10 @@ def ballots_to_csv(ballots: Sequence[Ballot]) -> str:
             f"blank ballots {blank!r} cannot be expressed in long CSV; "
             f"write an explicit worst-grade row or use JSON"
         )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(BALLOT_CSV_HEADER)
-    for ballot in ballots:
-        for cid, grade in ballot.grades.items():
-            writer.writerow([ballot.voter_id, cid, grade])
-    return out.getvalue()
+    return _csv_text(chain(
+        [BALLOT_CSV_HEADER],
+        ([b.voter_id, cid, grade] for b in ballots for cid, grade in b.grades.items()),
+    ))
 
 
 def parse_bracket_ballots(
@@ -795,6 +793,13 @@ def percent_half_up(count: int, total: int) -> int:
     return (200 * count + total) // (2 * total)
 
 
+def _csv_text(rows: Iterable[Sequence[object]]) -> str:
+    """CSV text with ``\\n`` line ends; a ``None`` cell is written empty."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _table(rows: list[list[str]], double_after: set[int]) -> str:
     """Plain text table; row indexes in ``double_after`` get a double rule below."""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
@@ -810,67 +815,21 @@ def _table(rows: list[list[str]], double_after: set[int]) -> str:
     return "\n".join(lines)
 
 
+# The table's method columns after the percentages: header -> entry field.
+_TABLE_FIELDS = {
+    "mj": {"majority": "majority_grade"},
+    "mj3": {"score": "score", "tiebreak": "tiebreak"},
+}
+# The CSV's columns after the counts, named as the entry fields they hold.
+_CSV_FIELDS = ("block", "majority_grade", "score", "tiebreak")
+
+
 def render_result(result: RankedResult, fmt: str = "table") -> str:
-    """Render a ranking as ``table``, ``json``, or ``csv``."""
-    if fmt == "table":
-        return _render_table(result)
-    if fmt == "json":
-        return _render_json(result)
-    if fmt == "csv":
-        return _render_csv(result)
-    raise ConfigError(f"unknown result format {fmt!r}")
+    """Render a ranking as ``table``, ``json``, or ``csv``.
 
-
-def _extra_columns(result: RankedResult) -> list[tuple[str, object]]:
-    if result.method == "mj":
-        return [("majority", lambda e: e.majority_grade or "")]
-    if result.method == "mj3":
-        return [
-            ("score", lambda e: str(e.score)),
-            ("tiebreak", lambda e: str(e.tiebreak)),
-        ]
-    return []
-
-
-def _render_table(result: RankedResult) -> str:
-    headers = ["rank", "candidate", *result.scale.labels]
-    extras = _extra_columns(result)
-    headers += [name for name, _ in extras]
-    rows = [headers]
-    double_after = {0}
-    for index, entry in enumerate(result.entries):
-        rows.append(
-            [
-                str(entry.rank),
-                entry.name,
-                *(
-                    str(percent_half_up(c, result.n_voters))
-                    for c in entry.counts
-                ),
-                *(str(fetch(entry)) for _, fetch in extras),
-            ]
-        )
-        nxt = (
-            result.entries[index + 1] if index + 1 < len(result.entries) else None
-        )
-        if nxt is not None and entry.block is not None and nxt.block != entry.block:
-            double_after.add(index + 1)
-    lines = []
-    if result.rejected:
-        lines.append(REJECTED_BANNER)
-    lines.append(_table(rows, double_after))
-    for group in result.tie_groups:
-        lines.append("tied: " + " = ".join(group))
-    if result.method == "approval3":
-        for cid in borderline_candidates(result):
-            lines.append(
-                f"borderline: {cid} approved by exactly half the electorate"
-            )
-    lines.append(f"{result.n_voters} ballots")
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(result: RankedResult) -> str:
+    The JSON document holds every field of the result; the CSV and the table
+    are views of it.
+    """
     document = {
         "method": result.method,
         "scale": list(result.scale.labels),
@@ -894,7 +853,43 @@ def _render_json(result: RankedResult) -> str:
         ],
         "tie_groups": [list(g) for g in result.tie_groups],
     }
-    return json.dumps(document, indent=2) + "\n"
+    if fmt == "json":
+        return json.dumps(document, indent=2) + "\n"
+    entries = document["entries"]
+    if fmt == "csv":
+        return _csv_text([
+            ["rank", "candidate", "name", *document["scale"], *_CSV_FIELDS],
+            *(
+                [e["rank"], e["candidate"], e["name"], *e["counts"],
+                 *(e[f] for f in _CSV_FIELDS)]
+                for e in entries
+            ),
+        ])
+    if fmt != "table":
+        raise ConfigError(f"unknown result format {fmt!r}")
+    extras = _TABLE_FIELDS.get(result.method, {})
+    rows = [["rank", "candidate", *document["scale"], *extras]]
+    rows += (
+        [str(e["rank"]), e["name"], *map(str, e["percent"]),
+         *("" if e[f] is None else str(e[f]) for f in extras.values())]
+        for e in entries
+    )
+    # a double rule below the header and between two blocks
+    double_after = {0} | {
+        row
+        for row, (e, nxt) in enumerate(zip(entries, entries[1:]), start=1)
+        if e["block"] is not None and nxt["block"] != e["block"]
+    }
+    lines = [REJECTED_BANNER] if document["rejected"] else []
+    lines.append(_table(rows, double_after))
+    lines += ("tied: " + " = ".join(g) for g in document["tie_groups"])
+    if result.method == "approval3":
+        lines += (
+            f"borderline: {cid} approved by exactly half the electorate"
+            for cid in borderline_candidates(result)
+        )
+    lines.append(f"{document['n_voters']} ballots")
+    return "\n".join(lines) + "\n"
 
 
 def parse_result_json(text: str) -> RankedResult:
@@ -923,98 +918,60 @@ def parse_result_json(text: str) -> RankedResult:
     )
 
 
-def _render_csv(result: RankedResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["rank", "candidate", "name", *result.scale.labels,
-         "block", "majority_grade", "score", "tiebreak"]
-    )
-    for e in result.entries:
-        writer.writerow(
-            [
-                e.rank,
-                e.candidate,
-                e.name,
-                *e.counts,
-                e.block.value if e.block else "",
-                e.majority_grade or "",
-                "" if e.score is None else e.score,
-                "" if e.tiebreak is None else e.tiebreak,
-            ]
-        )
-    return out.getvalue()
-
-
 def render_bracket(result: "BracketResult", fmt: str = "table") -> str:
-    """Render a bracket outcome as ``table``, ``json``, or ``csv``."""
+    """Render a bracket outcome as ``table``, ``json``, or ``csv``.
+
+    The CSV and the table are views of the JSON document's trace.
+    """
+    document = {
+        "method": "bracket",
+        "candidates": list(result.candidates),
+        "accept": {
+            "yes": result.accept_yes,
+            "no": result.accept_no,
+            "accepted": result.ballot_accepted,
+        },
+        "trace": [
+            {
+                "candidates": list(d.node.candidates),
+                "upper": list(d.node.upper),
+                "lower": list(d.node.lower),
+                "votes_upper": d.votes_upper,
+                "votes_lower": d.votes_lower,
+                "chosen": d.chosen,
+                "tie": d.tie,
+            }
+            for d in result.elimination_trace
+        ],
+        "winner": result.winner,
+    }
     if fmt == "json":
-        document = {
-            "method": "bracket",
-            "candidates": list(result.candidates),
-            "accept": {
-                "yes": result.accept_yes,
-                "no": result.accept_no,
-                "accepted": result.ballot_accepted,
-            },
-            "trace": [
-                {
-                    "candidates": list(d.node.candidates),
-                    "upper": list(d.node.upper),
-                    "lower": list(d.node.lower),
-                    "votes_upper": d.votes_upper,
-                    "votes_lower": d.votes_lower,
-                    "chosen": d.chosen,
-                    "tie": d.tie,
-                }
-                for d in result.elimination_trace
-            ],
-            "winner": result.winner,
-        }
         return json.dumps(document, indent=2) + "\n"
+    steps = [
+        [str(n), " ".join(s["candidates"]), s["votes_upper"], s["votes_lower"],
+         s["chosen"], "yes" if s["tie"] else "no"]
+        for n, s in enumerate(document["trace"], start=1)
+    ]
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["step", "candidates", "votes_upper", "votes_lower", "chosen", "tie"]
-        )
-        for step, d in enumerate(result.elimination_trace, start=1):
-            writer.writerow(
-                [
-                    step,
-                    " ".join(d.node.candidates),
-                    d.votes_upper,
-                    d.votes_lower,
-                    d.chosen,
-                    "yes" if d.tie else "no",
-                ]
-            )
-        writer.writerow(["winner", result.winner or "", "", "", "", ""])
-        return out.getvalue()
+        return _csv_text([
+            ["step", "candidates", "votes_upper", "votes_lower", "chosen", "tie"],
+            *steps,
+            ["winner", document["winner"], "", "", "", ""],
+        ])
     if fmt != "table":
         raise ConfigError(f"unknown result format {fmt!r}")
-    lines = []
-    if result.ballot_accepted:
-        lines.append(
-            f"ballot accepted ({result.accept_yes} yes, {result.accept_no} no)"
-        )
-    else:
-        lines.append(
-            f"ballot rejected ({result.accept_yes} yes, {result.accept_no} no): "
-            "no winner"
-        )
+    accept = document["accept"]
+    votes = f"({accept['yes']} yes, {accept['no']} no)"
+    lines = [
+        f"ballot accepted {votes}" if accept["accepted"]
+        else f"ballot rejected {votes}: no winner"
+    ]
     rows = [["step", "candidates", "upper", "lower", "chosen"]]
-    for step, d in enumerate(result.elimination_trace, start=1):
-        rows.append(
-            [
-                str(step),
-                " ".join(d.node.candidates),
-                str(d.votes_upper),
-                str(d.votes_lower),
-                d.chosen + (" (tie)" if d.tie else ""),
-            ]
-        )
+    rows += (
+        [n, names, str(upper), str(lower), chosen + (" (tie)" if tie == "yes" else "")]
+        for n, names, upper, lower, chosen, tie in steps
+    )
     lines.append(_table(rows, {0}))
-    if result.winner is not None:
-        lines.append(f"winner: {result.winner}")
+    if document["winner"] is not None:
+        lines.append(f"winner: {document['winner']}")
     return "\n".join(lines) + "\n"

@@ -750,6 +750,31 @@ def test_cli_check_lists_removals_past_the_addition_cap(tmp_path, capsys):
     }
 
 
+def test_cli_check_names_a_tie_the_extra_ballot_breaks(tmp_path, capsys):
+    files = _write_check(
+        tmp_path,
+        {"method": "mj", "scale": ["A", "B", "C", "D"],
+         "candidates": [{"id": cid} for cid in "abc"]},
+        [{"a": "A", "b": "C", "c": "C"}, {"a": "D", "b": "C", "c": "C"}],
+    )
+    assert main(["check", *files]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [
+        "no-show search: 7 counterexample(s)",
+        "  addition (a=B, b=A, c=A): tie(b, c) -> a",
+    ]
+    assert main(["check", *files, "--format", "json"]) == 3
+    no_show = json.loads(capsys.readouterr().out)["no_show"]
+    assert no_show["n_counterexamples"] == 7
+    assert no_show["counterexamples"][0] == {
+        "kind": "addition",
+        "voter_id": None,
+        "grades": {"a": "B", "b": "A", "c": "A"},
+        "before": "tie(b, c)",
+        "after": "a",
+    }
+
+
 def test_cli_unreadable_inputs_end_in_an_error_line(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     assert main(["tally", "--method", "mj3", "--ballots", missing]) == 1

@@ -165,6 +165,13 @@ def test_outcome_from_counts_matches_the_rankers_exhaustively(method, n_grades):
 # weak consistency over electorate 2-partitions
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("check", [check_consistency, check_consistency_splits])
+def test_a_one_ballot_election_has_no_partition_to_check(check):
+    election, ballots = _election([{"a": "positive", "b": "neutral"}])
+    with pytest.raises(VoteError, match="partition check needs at least two ballots"):
+        check(election, ballots)
+
+
 def test_two_identical_ballots_have_one_partition():
     election, ballots = _election(
         [{"a": "positive", "b": "neutral"}, {"a": "positive", "b": "neutral"}]
